@@ -3,7 +3,7 @@
 Subcommands: count, gen, check, reconstruct, verify, bipartite, oracle.
 Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
 0 success/feasible, 1 infeasible or unsupported class, 2 usage or I/O error,
-3 internal invariant failure.
+3 internal error, including any unexpected exception.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .hypergraphs import from_incidence
 from .necklaces import count_lyndon, count_necklaces, gen_lyndon, gen_necklaces
 from .oracle import exists_distinct_rows
 from .reconstruct import (
-    ConstructionInvariantError,
     rec_regular_with_plan,
     rec_span_one_with_plan,
     twin_free_bipartite,
@@ -246,12 +245,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConstructionInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

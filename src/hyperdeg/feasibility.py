@@ -4,15 +4,16 @@ projections, plus the classical Gale-Ryser and Erdos-Gallai checks.
 A regular instance asks for m distinct rows of sum h whose n columns all sum
 to v; a span-one instance allows the column sums to take the two adjacent
 values v and v-1. Both are decided by three exact integer conditions:
-bounds (h <= n and v <= m), the counting identity between row and column
-totals, and the capacity bound v*n <= h*C(n,h) that caps the number of
-distinct rows at C(n,h).
+bounds (h <= n unless m = 0, and v <= m), the counting identity between row
+and column totals, and the capacity bound v*n <= h*C(n,h) that caps the
+number of distinct rows at C(n,h).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .necklaces import binomial
 
@@ -105,7 +106,7 @@ def check_regular(inst: RegularInstance) -> Feasibility:
     exists. Violations are reported in the fixed order bounds, totals,
     capacity."""
     n, m, h, v = inst.n, inst.m, inst.h, inst.v
-    if h > n or v > m:
+    if (h > n and m > 0) or v > m:
         return Feasibility(False, "cond2", m)
     if m * h != n * v:
         return Feasibility(False, "cond1", m)
@@ -164,10 +165,16 @@ def erdos_gallai_check(degrees: Sequence[int]) -> bool:
     if any(x < 0 for x in degrees):
         raise ValueError("degrees must be nonnegative")
     d = sorted(degrees, reverse=True)
-    if sum(d) % 2:
+    prefix = [0, *accumulate(d)]
+    if prefix[-1] % 2:
         return False
+    # d[:p] holds the degrees >= k, so sum(min(k, d_i) for i > k) is O(1).
+    p = len(d)
     for k in range(1, len(d) + 1):
-        if sum(d[:k]) > k * (k - 1) + sum(min(k, x) for x in d[k:]):
+        while p and d[p - 1] < k:
+            p -= 1
+        c = max(k, p)
+        if prefix[k] > k * (c - 1) + prefix[-1] - prefix[c]:
             return False
     return True
 

@@ -3,6 +3,7 @@ degree-sequence realization entry point."""
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ __all__ = [
     "realize",
     "to_incidence",
 ]
+
+_ONE = re.compile("1")
 
 
 @dataclass(frozen=True)
@@ -63,12 +66,9 @@ class Hypergraph:
 
 def from_incidence(matrix: BinaryMatrix) -> Hypergraph:
     """Read each row as an edge over the 1-based column indices of its ones.
-    Duplicate rows are rejected since they would create parallel edges."""
-    if len(set(matrix.rows)) != matrix.nrows:
-        raise ValueError("duplicate rows would create parallel edges")
-    edges = tuple(
-        tuple(j + 1 for j, ch in enumerate(row) if ch == "1") for row in matrix.rows
-    )
+    Duplicate rows are rejected by Hypergraph as parallel edges."""
+    # The end of each match of "1" is its 1-based column; the scan runs in C.
+    edges = tuple(tuple(map(re.Match.end, _ONE.finditer(row))) for row in matrix.rows)
     return Hypergraph(matrix.ncols, edges)
 
 

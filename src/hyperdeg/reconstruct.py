@@ -13,9 +13,9 @@ inputs therefore produce bit-identical outputs.
 
 The span-one build lifts the instance to the smallest strictly larger
 homogeneous one whose total fits the divisibility constraints, builds that,
-deletes leading rows of the embedded coset block of 0^(n-h) 1^h (which
-lowers a cyclically contiguous band of columns by one per deleted row), and
-finally reorders columns by descending sum.
+and deletes leading rows of the embedded coset block of 0^(n-h) 1^h. They
+lower every column alike but the last n1, which drop one further, so the
+columns already descend by sum and are never reordered.
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ def rec_regular_with_plan(inst: RegularInstance) -> RegularReconstruction:
 
 def rec_span_one(inst: SpanOneInstance) -> BinaryMatrix:
     """Construct an m x n matrix with distinct rows, row sums h, n0 columns
-    summing to v and n1 columns summing to v-1, columns ordered by descending
-    sum. The instance must pass check_span_one."""
+    summing to v then n1 columns summing to v-1, an order the construction
+    yields without permuting columns. The instance must pass check_span_one."""
     return rec_span_one_with_plan(inst).matrix
 
 
@@ -186,13 +186,10 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
     feas = check_span_one(inst)
     if not feas.feasible:
         raise ValueError(f"infeasible span-one instance ({feas.violated})")
-    n, h, v, n1 = inst.n, inst.h, inst.v, inst.n1
-    m = inst.m
-    if h >= n:
-        raise ConstructionInvariantError("span-one feasibility requires h < n")
+    n, h, m = inst.n, inst.h, inst.m
 
-    # Lift to the smallest homogeneous instance strictly larger than m rows
-    # whose totals are divisible by both n and h.
+    # Lift to the smallest total above h*m that lcm(n, h) divides. As h*m =
+    # n*v - n1 is no multiple of n, deleted = lifted_rows - m < n/gcd(n, h).
     step = n * h // math.gcd(n, h)
     lifted_ones = (h * m // step + 1) * step
     lifted_rows = lifted_ones // h
@@ -200,15 +197,7 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
     built = rec_regular_with_plan(
         RegularInstance(n=n, m=lifted_rows, h=h, v=lifted_degree)
     )
-
-    if (n * (lifted_degree - v) + n1) % h:
-        raise ConstructionInvariantError("row deletion count is not integral")
-    deleted = (n * (lifted_degree - v) + n1) // h
-    block_rows = n // math.gcd(n, h)
-    if not 1 <= deleted < block_rows:
-        raise ConstructionInvariantError(
-            f"deletion count {deleted} outside [1, {block_rows})"
-        )
+    deleted = lifted_rows - m
 
     # The base level always embeds the class of 0^(n-h) 1^h, either whole or
     # as coset blocks; drop its first `deleted` shift-by-h rows.
@@ -220,14 +209,12 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
         doomed = {start + (i * h) % n for i in range(deleted)}
     else:
         raise ConstructionInvariantError("reserved class missing from base level")
-    if len(doomed) != deleted:
-        raise ConstructionInvariantError("deletion targets collide")
-    kept = [row for i, row in enumerate(built.matrix.rows) if i not in doomed]
+    kept = tuple(row for i, row in enumerate(built.matrix.rows) if i not in doomed)
 
-    sums = [sum(row[j] == "1" for row in kept) for j in range(n)]
-    order = tuple(sorted(range(n), key=lambda j: (-sums[j], j)))
-    rows = tuple("".join(row[j] for j in order) for row in kept)
-    matrix = BinaryMatrix(rows, n)
+    # Deleted row i has its ones at [n-(i+1)h, n-ih) mod n, so the deleted rows
+    # cover n*(lifted_degree - v) + n1 cells running down from column n-1: only
+    # the last n1 columns drop to v-1, and the columns need no reordering.
+    matrix = BinaryMatrix(kept, n)
     if matrix.col_sums() != inst.degree_vector():
         raise ConstructionInvariantError("column sums missed the target vector")
     return SpanOneReconstruction(
@@ -237,7 +224,7 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
         lifted_rows=lifted_rows,
         lifted_degree=lifted_degree,
         rows_deleted=deleted,
-        column_order=order,
+        column_order=tuple(range(n)),
         levels=built.levels,
     )
 

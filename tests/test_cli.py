@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hyperdeg import cli
 from hyperdeg.cli import main
 
 
@@ -225,6 +226,24 @@ class TestOracleCommand:
     def test_guard_is_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle", "--h", "2", "--degrees", "1,1,1,1,1,1,1,1,1")
         assert code == 2 and "error" in err
+
+
+class TestInternalErrors:
+    def test_recursion_error_is_internal_not_infeasible(self, capsys):
+        # The recursive Lyndon generator overflows the stack at this length.
+        code, out, err = run(capsys, "reconstruct", "--h", "3", "--n", "1500", "--v", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: RecursionError")
+        assert len(err.splitlines()) == 1
+
+    def test_unexpected_exception_is_one_line_exit_3(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_count", broken)
+        code, out, err = run(capsys, "count", "--n", "6", "--h", "2", "--kind", "lyndon")
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: first line second line\n"
 
 
 class TestUsageErrors:

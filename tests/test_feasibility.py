@@ -150,6 +150,16 @@ class TestErdosGallai:
             for seq in combinations_with_replacement(range(n - 1, -1, -1), n):
                 assert erdos_gallai_check(seq) == (seq in graphic), seq
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=40), max_size=40))
+    def test_matches_quadratic_definition(self, degrees):
+        d = sorted(degrees, reverse=True)
+        expected = sum(d) % 2 == 0 and all(
+            sum(d[:k]) <= k * (k - 1) + sum(min(k, x) for x in d[k:])
+            for k in range(1, len(d) + 1)
+        )
+        assert erdos_gallai_check(degrees) == expected
+
 
 class TestClassification:
     def test_kinds(self):
@@ -184,8 +194,9 @@ class TestClassification:
 
 class TestCharacterizationAgainstOracle:
     def test_regular_small(self):
+        # h = n + 1 only admits the empty matrix (m = v = 0), which exists.
         for n in range(1, 6):
-            for h in range(1, n + 1):
+            for h in range(1, n + 2):
                 cap = h * binomial(n, h) // n
                 for v in range(cap + 2):
                     if (n * v) % h:

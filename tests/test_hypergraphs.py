@@ -1,8 +1,15 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hyperdeg.feasibility import RegularInstance, SpanOneInstance
+from hyperdeg.feasibility import (
+    RegularInstance,
+    SpanOneInstance,
+    check_degree_sequence,
+    erdos_gallai_check,
+)
 from hyperdeg.hypergraphs import (
     Hypergraph,
     degree_sequence,
@@ -64,6 +71,34 @@ class TestIncidenceConversions:
         hg = Hypergraph(4, ((1, 2),))
         assert from_incidence(to_incidence(hg)) == hg
         assert to_incidence(hg).rows == ("1100",)
+
+    @given(
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda n: st.integers(min_value=1, max_value=n).flatmap(
+                lambda k: st.tuples(
+                    st.just(n),
+                    st.sets(
+                        st.frozensets(
+                            st.integers(min_value=0, max_value=n - 1), min_size=k, max_size=k
+                        ),
+                        max_size=20,
+                    ),
+                )
+            )
+        )
+    )
+    def test_from_incidence_matches_per_character_definition(self, case):
+        # Equal-size nonempty edges; k = n gives the all-ones row, an empty
+        # set the matrix with no rows.
+        n, supports = case
+        rows = tuple(
+            "".join("1" if j in support else "0" for j in range(n))
+            for support in sorted(supports, key=sorted)
+        )
+        expected = tuple(
+            tuple(j + 1 for j, ch in enumerate(row) if ch == "1") for row in rows
+        )
+        assert from_incidence(BinaryMatrix(rows, n)).edges == expected
 
     def test_empty_hypergraph(self):
         hg = Hypergraph(3, ())
@@ -132,6 +167,34 @@ class TestRealize:
             )
             assert all(len(e) == h for e in result.hypergraph.edges)
             assert len(set(result.hypergraph.edges)) == len(result.hypergraph.edges)
+
+    # Witnesses stay near 4*10^5 cells, and n stays below the depth at which
+    # the recursive Lyndon generator overflows the interpreter stack.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=900).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.one_of(
+                    st.integers(min_value=0, max_value=max(1, 800_000 // (n * n))),
+                    st.integers(min_value=n, max_value=n + 1),
+                ),
+                st.integers(min_value=0, max_value=n - 1),
+            )
+        )
+    )
+    @example((900, 1, 0))
+    @example((900, 2, 450))
+    @example((1, 0, 0))
+    def test_graphs_agree_with_erdos_gallai(self, case):
+        n, v, n1 = case
+        if v == 0:
+            n1 = 0
+        degrees = (v,) * (n - n1) + (v - 1,) * n1
+        feasible = check_degree_sequence(degrees, 2).result.feasible
+        assert feasible == erdos_gallai_check(degrees)
+        if feasible:
+            assert degree_sequence(realize(degrees, 2).hypergraph) == degrees
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -31,11 +31,12 @@ def feasible_regular_instances(max_n):
                     yield inst
 
 
-def feasible_span_one_instances(max_n):
+def feasible_span_one_instances(max_n, max_v=None):
     for n in range(2, max_n + 1):
         for h in range(1, n):
             cap = h * binomial(n, h) // n
-            for v in range(1, cap + 2):
+            top = cap + 1 if max_v is None else min(cap + 1, max_v)
+            for v in range(1, top + 1):
                 for n0 in range(1, n):
                     inst = SpanOneInstance(n, h, v, n0, n - n0)
                     if check_span_one(inst).feasible:
@@ -170,6 +171,15 @@ class TestRecSpanOneSweep:
             # columns come out ordered by descending sum
             sums = built.matrix.col_sums()
             assert sums == tuple(sorted(sums, reverse=True))
+
+    def test_columns_already_descend(self):
+        # The deleted rows lower exactly the last n1 columns one step further
+        # than the rest, so the construction never needs to permute columns.
+        for inst in feasible_span_one_instances(16, max_v=8):
+            built = rec_span_one_with_plan(inst)
+            assert built.column_order == tuple(range(inst.n)), inst
+            assert built.matrix.col_sums() == (inst.v,) * inst.n0 + (inst.v - 1,) * inst.n1, inst
+            assert verify(built.matrix, inst).ok, inst
 
     def test_deletion_stays_inside_one_block(self):
         for inst in feasible_span_one_instances(8):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -196,6 +197,29 @@ class TestBinaryMatrix:
         assert m.to_lines() == "0011\n1100"
         assert m.to_csv() == "0,0,1,1\n1,1,0,0"
         assert m.transpose().rows == ("01", "01", "10", "10")
+
+    @given(
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.sets(st.text(alphabet="01", min_size=n, max_size=n), max_size=30),
+                st.booleans(),
+                st.booleans(),
+            )
+        )
+    )
+    def test_col_sums_match_per_character_definition(self, case):
+        n, rows, zeros, ones = case
+        rows = sorted(rows | ({"0" * n} if zeros else set()) | ({"1" * n} if ones else set()))
+        expected = tuple(sum(row[j] == "1" for row in rows) for j in range(n))
+        assert BinaryMatrix(tuple(rows), n).col_sums() == expected
+
+    def test_col_sums_across_join_chunks(self):
+        # 2500 rows of 1000 columns span three joined chunks of rows.
+        rng = random.Random(5)
+        rows = tuple(format(rng.getrandbits(1000), "01000b") for _ in range(2500))
+        expected = tuple(sum(row[j] == "1" for row in rows) for j in range(1000))
+        assert BinaryMatrix(rows, 1000).col_sums() == expected
 
     def test_empty_rows_allowed_with_columns(self):
         m = BinaryMatrix((), 3)
