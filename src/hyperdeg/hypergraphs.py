@@ -1,5 +1,11 @@
 """Incidence-matrix and edge-list views of uniform hypergraphs, and the
-degree-sequence realization entry point."""
+degree-sequence realization entry point.
+
+Input is checked where it enters: the `Hypergraph` constructor sorts and
+checks every edge it is given. `from_incidence` trusts the checked
+`BinaryMatrix` it reads, whose rows already give sorted in-range edges, and
+checks only what a matrix does not guarantee.
+"""
 
 from __future__ import annotations
 
@@ -52,6 +58,15 @@ class Hypergraph:
         if len(set(normalized)) != len(normalized):
             raise ValueError("parallel edges are not allowed")
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
+        """A hypergraph from edges already sorted, in range and distinct, with
+        one nonzero size; none of it is checked again."""
+        hypergraph = object.__new__(cls)
+        object.__setattr__(hypergraph, "n", n)
+        object.__setattr__(hypergraph, "edges", edges)
+        return hypergraph
+
     @property
     def edge_size(self) -> int:
         return len(self.edges[0]) if self.edges else 0
@@ -66,10 +81,19 @@ class Hypergraph:
 
 def from_incidence(matrix: BinaryMatrix) -> Hypergraph:
     """Read each row as an edge over the 1-based column indices of its ones.
-    Duplicate rows are rejected by Hypergraph as parallel edges."""
-    # The end of each match of "1" is its 1-based column; the scan runs in C.
+    Rows of unequal sums, all-zero rows and duplicate rows are rejected, as
+    Hypergraph rejects the edges they would give."""
+    # The end of each match of "1" is its 1-based column; the scan runs in C
+    # and yields each edge sorted, without repeats and inside [1, ncols].
     edges = tuple(tuple(map(re.Match.end, _ONE.finditer(row))) for row in matrix.rows)
-    return Hypergraph(matrix.ncols, edges)
+    sizes = set(map(len, edges))
+    if len(sizes) > 1:
+        raise ValueError("all edges must have the same size")
+    if 0 in sizes:
+        raise ValueError("edges must be nonempty")
+    if len(set(edges)) != len(edges):
+        raise ValueError("parallel edges are not allowed")
+    return Hypergraph._trusted(matrix.ncols, edges)
 
 
 def to_incidence(hypergraph: Hypergraph) -> BinaryMatrix:

@@ -31,7 +31,7 @@ from .feasibility import (
     check_span_one,
 )
 from .necklaces import common_divisors, count_lyndon, gen_lyndon
-from .words import BinaryMatrix, block_submatrix, shift_matrix
+from .words import BinaryMatrix, _rotations
 
 __all__ = [
     "ConstructionInvariantError",
@@ -50,7 +50,20 @@ __all__ = [
 
 class ConstructionInvariantError(RuntimeError):
     """A feasible instance failed mid-construction; this indicates a bug, not
-    bad input."""
+    bad input. `instance` is the instance being built and `divisor` the
+    divisor level where the invariant failed, None when it failed after the
+    levels."""
+
+    def __init__(
+        self,
+        problem: str,
+        instance: RegularInstance | SpanOneInstance,
+        divisor: int | None = None,
+    ) -> None:
+        level = "" if divisor is None else f" at divisor level {divisor}"
+        super().__init__(f"{problem}{level} of {instance}")
+        self.instance = instance
+        self.divisor = divisor
 
 
 @dataclass(frozen=True)
@@ -115,18 +128,25 @@ def rec_regular(inst: RegularInstance) -> BinaryMatrix:
 
 
 def rec_regular_with_plan(inst: RegularInstance) -> RegularReconstruction:
+    rows, levels = _build_regular(inst)
+    return RegularReconstruction(inst, BinaryMatrix(tuple(rows), inst.n), levels)
+
+
+def _build_regular(inst: RegularInstance) -> tuple[list[str], tuple[LevelPlan, ...]]:
+    """Rows and level plans of the homogeneous build, unchecked: every row is
+    a rotation of a word built here, and the caller checks the matrix once."""
     feas = check_regular(inst)
     if not feas.feasible:
         raise ValueError(f"infeasible homogeneous instance ({feas.violated})")
     n, m, h, v = inst.n, inst.m, inst.h, inst.v
     if m == 0:
-        return RegularReconstruction(inst, BinaryMatrix((), n), ())
+        return [], ()
     if h == 0:
         # Feasibility caps m at 1: a single all-zero row.
-        return RegularReconstruction(inst, BinaryMatrix(("0" * n,) * m, n), ())
+        return ["0" * n] * m, ()
     if h == n:
         # Capacity forces v <= 1, hence m <= 1: a single all-ones row.
-        return RegularReconstruction(inst, BinaryMatrix(("1" * n,) * m, n), ())
+        return ["1" * n] * m, ()
 
     rows: list[str] = []
     levels: list[LevelPlan] = []
@@ -142,6 +162,8 @@ def rec_regular_with_plan(inst: RegularInstance) -> RegularReconstruction:
         offset = len(rows)
         reserved_offset: int | None = None
         taken = 0
+        # A Lyndon word is aperiodic, so its d-fold tiling has `length`
+        # distinct rotations: the rows of shift_matrix(word * d).
         for word in gen_lyndon(length, dens):
             if taken == q:
                 break
@@ -149,30 +171,32 @@ def rec_regular_with_plan(inst: RegularInstance) -> RegularReconstruction:
                 if fill_here:
                     continue
                 reserved_offset = len(rows)
-            rows.extend(shift_matrix(word * d).rows)
+            rows.extend(_rotations(word * d, length, 1))
             taken += 1
         if taken != q:
-            raise ConstructionInvariantError("ran out of Lyndon words mid-level")
+            raise ConstructionInvariantError("ran out of Lyndon words", inst, d)
         remaining -= q * dens
         blocks = 0
         blocks_offset: int | None = None
         if fill_here:
             g = math.gcd(length, dens)
             if (remaining * g) % dens:
-                raise ConstructionInvariantError("coset fill is not integral")
+                raise ConstructionInvariantError("coset fill is not integral", inst, d)
             blocks = remaining * g // dens
             blocks_offset = len(rows)
             for j in range(blocks):
-                rows.extend(row * d for row in block_submatrix(length, dens, j).rows)
+                # block_submatrix(length, dens, j) with every row tiled d times.
+                block_word = "1" * j + "0" * (length - dens) + "1" * (dens - j)
+                rows.extend(_rotations(block_word * d, length // g, dens))
             remaining = 0
         levels.append(
             LevelPlan(d, length, dens, q, blocks, offset, reserved_offset, blocks_offset)
         )
     if remaining != 0:
-        raise ConstructionInvariantError("column sums left unmet after all levels")
+        raise ConstructionInvariantError("column sums left unmet after all levels", inst)
     if len(rows) != m:
-        raise ConstructionInvariantError(f"built {len(rows)} rows, expected {m}")
-    return RegularReconstruction(inst, BinaryMatrix(tuple(rows), n), tuple(levels))
+        raise ConstructionInvariantError(f"built {len(rows)} rows, expected {m}", inst)
+    return rows, tuple(levels)
 
 
 def rec_span_one(inst: SpanOneInstance) -> BinaryMatrix:
@@ -194,29 +218,31 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
     lifted_ones = (h * m // step + 1) * step
     lifted_rows = lifted_ones // h
     lifted_degree = lifted_ones // n
-    built = rec_regular_with_plan(
-        RegularInstance(n=n, m=lifted_rows, h=h, v=lifted_degree)
-    )
+    rows, levels = _build_regular(RegularInstance(n=n, m=lifted_rows, h=h, v=lifted_degree))
     deleted = lifted_rows - m
 
     # The base level always embeds the class of 0^(n-h) 1^h, either whole or
     # as coset blocks; drop its first `deleted` shift-by-h rows.
-    base_level = built.levels[0]
+    base_level = levels[0]
     if base_level.blocks_offset is not None:
-        doomed = set(range(base_level.blocks_offset, base_level.blocks_offset + deleted))
+        del rows[base_level.blocks_offset : base_level.blocks_offset + deleted]
     elif base_level.reserved_offset is not None:
+        # The whole class is the n rotations from reserved_offset in shift order.
         start = base_level.reserved_offset
-        doomed = {start + (i * h) % n for i in range(deleted)}
+        doomed = {(i * h) % n for i in range(deleted)}
+        whole_class = rows[start : start + n]
+        rows[start : start + n] = [row for k, row in enumerate(whole_class) if k not in doomed]
     else:
-        raise ConstructionInvariantError("reserved class missing from base level")
-    kept = tuple(row for i, row in enumerate(built.matrix.rows) if i not in doomed)
+        raise ConstructionInvariantError(
+            "reserved class missing from base level", inst, base_level.divisor
+        )
 
     # Deleted row i has its ones at [n-(i+1)h, n-ih) mod n, so the deleted rows
     # cover n*(lifted_degree - v) + n1 cells running down from column n-1: only
     # the last n1 columns drop to v-1, and the columns need no reordering.
-    matrix = BinaryMatrix(kept, n)
+    matrix = BinaryMatrix(tuple(rows), n)
     if matrix.col_sums() != inst.degree_vector():
-        raise ConstructionInvariantError("column sums missed the target vector")
+        raise ConstructionInvariantError("column sums missed the target vector", inst)
     return SpanOneReconstruction(
         instance=inst,
         matrix=matrix,
@@ -225,7 +251,7 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
         lifted_degree=lifted_degree,
         rows_deleted=deleted,
         column_order=tuple(range(n)),
-        levels=built.levels,
+        levels=levels,
     )
 
 

@@ -4,11 +4,17 @@ Periods, lexicographically-least canonical forms, Lyndon tests, and the
 matrices obtained by stacking the distinct rotations of a word. The single
 shift convention used everywhere is left rotation: the first symbol moves to
 the end.
+
+Input is checked where it enters: each public function checks its word, and
+`BinaryMatrix` checks every row once. Internal builders such as `_rotations`
+trust the word their caller has checked.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 __all__ = [
@@ -23,12 +29,46 @@ __all__ = [
 ]
 
 
+_DROP_BINARY = str.maketrans("", "", "01")
+_NOT_BINARY = re.compile("[^01]")
+
+
+def _preview(w: str) -> str:
+    """The word, or its first 20 symbols and its length when it is longer."""
+    return repr(w) if len(w) <= 24 else f"{w[:20]!r}... ({len(w)} symbols)"
+
+
+def _bad_symbol(w: str) -> str | None:
+    """Where w holds a symbol other than '0' and '1', or None if it does not."""
+    bad = _NOT_BINARY.search(w)
+    if bad is None:
+        return None
+    return f"symbol {bad.group()!r} at column {bad.start() + 1}; only '0' and '1' are allowed"
+
+
 def _check_word(w: str) -> str:
     if not w:
         raise ValueError("binary word must be nonempty")
-    if set(w) - {"0", "1"}:
-        raise ValueError(f"binary word may only contain '0' and '1': {w!r}")
+    problem = _bad_symbol(w)
+    if problem:
+        raise ValueError(f"binary word has {problem}: {_preview(w)}")
     return w
+
+
+def _rotations(word: str, count: int, step: int) -> tuple[str, ...]:
+    """The left rotations of a checked word by 0, step, ..., (count-1)*step."""
+    n = len(word)
+    doubled = word + word
+    return tuple([doubled[k % n : k % n + n] for k in range(0, count * step, step)])
+
+
+def _row_blocks(
+    rows: tuple[str, ...], ncols: int, symbols: int
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """(index of the first row, rows) for consecutive runs of rows holding at
+    most `symbols` symbols, one row at the least; joining a run bounds the copy."""
+    step = max(1, symbols // ncols)
+    return ((start, rows[start : start + step]) for start in range(0, len(rows), step))
 
 
 def density(w: str) -> int:
@@ -72,13 +112,23 @@ class BinaryMatrix:
     ncols: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.ncols < 1:
+        rows = tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
+        n = self.ncols
+        if n < 1:
             raise ValueError("matrix needs at least one column")
-        for row in self.rows:
-            _check_word(row)
-            if len(row) != self.ncols:
-                raise ValueError(f"row {row!r} does not have {self.ncols} columns")
+        # C-level passes over blocks of joined rows; only a failing block is
+        # walked row by row. The translate copies its block, so blocks stay small.
+        for start, block in _row_blocks(rows, n, 1 << 16):
+            if set(map(len, block)) != {n} or "".join(block).translate(_DROP_BINARY):
+                for i, row in enumerate(block, start + 1):
+                    problem = _bad_symbol(row)
+                    if problem:
+                        raise ValueError(f"row {i} has {problem}: {_preview(row)}")
+                    if len(row) != n:
+                        raise ValueError(
+                            f"row {i} has {len(row)} columns, not {n}: {_preview(row)}"
+                        )
 
     @property
     def nrows(self) -> int:
@@ -89,12 +139,11 @@ class BinaryMatrix:
 
     def col_sums(self) -> tuple[int, ...]:
         # Column j of joined rows is every n-th character from j: a strided
-        # slice counts it in C. Joining 2^20 characters at a time bounds the copy.
+        # slice counts it in C.
         n = self.ncols
         sums = [0] * n
-        step = max(1, (1 << 20) // n)
-        for start in range(0, len(self.rows), step):
-            block = "".join(self.rows[start : start + step])
+        for _, rows in _row_blocks(self.rows, n, 1 << 20):
+            block = "".join(rows)
             for j in range(n):
                 sums[j] += block[j::n].count("1")
         return tuple(sums)
@@ -116,8 +165,7 @@ def shift_matrix(u: str) -> BinaryMatrix:
     The matrix has period(u) rows and homogeneous column sums equal to
     density(u) * period(u) / len(u).
     """
-    p = period(u)
-    return BinaryMatrix(tuple(cyclic_shift(u, i) for i in range(p)), len(u))
+    return BinaryMatrix(_rotations(u, period(u), 1), len(u))
 
 
 def block_submatrix(n: int, h: int, j: int) -> BinaryMatrix:
@@ -133,4 +181,4 @@ def block_submatrix(n: int, h: int, j: int) -> BinaryMatrix:
     if not 0 <= j < g:
         raise ValueError(f"block index must lie in [0, {g}), got {j}")
     word = "1" * j + "0" * (n - h) + "1" * (h - j)
-    return BinaryMatrix(tuple(cyclic_shift(word, i * h) for i in range(n // g)), n)
+    return BinaryMatrix(_rotations(word, n // g, h), n)

@@ -185,6 +185,16 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(out) == {"valid": False, "problem": "duplicate rows"}
 
+    def test_malformed_long_row_is_short_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("01" * 1000 + "\n" + "10" * 700 + "x" + "10" * 299 + "1\n")
+        code, out, err = run(
+            capsys, "verify", "--h", "1000", "--n", "2000", "--v", "1", "--matrix", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: row 2 has symbol 'x' at column 1401")
+        assert len(err) < 200
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

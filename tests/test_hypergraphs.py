@@ -59,6 +59,19 @@ class TestIncidenceConversions:
         with pytest.raises(ValueError):
             from_incidence(BinaryMatrix(("01", "01"), 2))
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (("0110", "0111"), "same size"),
+            (("000", "000"), "nonempty"),
+            (("000",), "nonempty"),
+            (("0110", "1001", "0110"), "parallel"),
+        ],
+    )
+    def test_rejects_rows_that_give_bad_edges(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            from_incidence(BinaryMatrix(rows, len(rows[0])))
+
     def test_rec_output_is_complete_graph(self):
         hg = from_incidence(rec_regular(RegularInstance(6, 15, 2, 5)))
         assert set(hg.edges) == set(combinations(range(1, 7), 2))
@@ -98,7 +111,9 @@ class TestIncidenceConversions:
         expected = tuple(
             tuple(j + 1 for j, ch in enumerate(row) if ch == "1") for row in rows
         )
-        assert from_incidence(BinaryMatrix(rows, n)).edges == expected
+        hg = from_incidence(BinaryMatrix(rows, n))
+        assert hg.edges == expected
+        assert hg == Hypergraph(n, expected)
 
     def test_empty_hypergraph(self):
         hg = Hypergraph(3, ())

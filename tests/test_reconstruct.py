@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from hyperdeg import reconstruct
 from hyperdeg.feasibility import RegularInstance, SpanOneInstance, check_regular, check_span_one
 from hyperdeg.necklaces import binomial
 from hyperdeg.reconstruct import (
+    ConstructionInvariantError,
     rec_regular,
     rec_regular_with_plan,
     rec_span_one,
@@ -94,6 +96,24 @@ class TestRecRegularWorkedExamples:
             rec_regular(RegularInstance(6, 18, 2, 6))
         with pytest.raises(ValueError):
             rec_regular(RegularInstance(4, 3, 2, 2))
+
+
+class TestConstructionInvariantError:
+    def test_names_instance_and_level(self, monkeypatch):
+        monkeypatch.setattr(reconstruct, "gen_lyndon", lambda n, d: iter(()))
+        inst = RegularInstance(6, 15, 2, 5)
+        with pytest.raises(ConstructionInvariantError) as info:
+            rec_regular(inst)
+        assert (info.value.instance, info.value.divisor) == (inst, 1)
+        assert str(info.value) == f"ran out of Lyndon words at divisor level 1 of {inst}"
+
+    def test_failure_after_the_levels_has_no_level(self, monkeypatch):
+        monkeypatch.setattr(BinaryMatrix, "col_sums", lambda self: ())
+        inst = SpanOneInstance(9, 3, 5, 3, 6)
+        with pytest.raises(ConstructionInvariantError) as info:
+            rec_span_one(inst)
+        assert (info.value.instance, info.value.divisor) == (inst, None)
+        assert str(info.value) == f"column sums missed the target vector of {inst}"
 
 
 class TestRecRegularSweep:

@@ -49,6 +49,11 @@ class TestCyclicShift:
         with pytest.raises(ValueError):
             cyclic_shift("01x", 1)
 
+    def test_error_names_the_symbol_not_the_whole_word(self):
+        with pytest.raises(ValueError, match="'x' at column 5001") as info:
+            cyclic_shift("0" * 5000 + "x", 1)
+        assert len(str(info.value)) < 200
+
 
 class TestPeriod:
     def test_examples(self):
@@ -165,6 +170,21 @@ class TestBlockSubmatrix:
                 assert exists_distinct_rows(n, h, (v,) * n).exists
                 assert block_submatrix(n, h, 0).nrows == k
 
+    @given(
+        st.integers(min_value=2, max_value=40).flatmap(
+            lambda n: st.integers(min_value=1, max_value=n - 1).flatmap(
+                lambda h: st.tuples(
+                    st.just(n), st.just(h), st.integers(min_value=0, max_value=math.gcd(n, h) - 1)
+                )
+            )
+        )
+    )
+    def test_rows_match_shift_definition(self, case):
+        n, h, j = case
+        word = "1" * j + "0" * (n - h) + "1" * (h - j)
+        expected = tuple(cyclic_shift(word, i * h) for i in range(n // math.gcd(n, h)))
+        assert block_submatrix(n, h, j).rows == expected
+
     @pytest.mark.parametrize("n,h", [(4, 2), (6, 2), (6, 3), (6, 4), (9, 3), (9, 6), (12, 8), (8, 5)])
     def test_blocks_partition_the_rotation_class(self, n, h):
         g = math.gcd(n, h)
@@ -189,6 +209,24 @@ class TestBinaryMatrix:
             BinaryMatrix(("0a",), 2)
         with pytest.raises(ValueError):
             BinaryMatrix((), 0)
+        with pytest.raises(ValueError):
+            BinaryMatrix(("01", ""), 2)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("0" * 700 + "2" + "0" * 299, "row 1100 has symbol '2' at column 701"),
+            ("0" * 999, "row 1100 has 999 columns, not 1000"),
+            ("0" * 1001, "row 1100 has 1001 columns, not 1000"),
+        ],
+        ids=["symbol", "short", "long"],
+    )
+    def test_rejects_a_bad_row_past_the_first_joined_block(self, bad, message):
+        # 1099 good rows of 1000 columns fill more than 2^20 symbols first.
+        rows = ("01" * 500,) * 1099 + (bad,) + ("10" * 500,) * 5
+        with pytest.raises(ValueError, match=message) as info:
+            BinaryMatrix(rows, 1000)
+        assert len(str(info.value)) < 200
 
     def test_sums_and_renderers(self):
         m = BinaryMatrix(("0011", "1100"), 4)
