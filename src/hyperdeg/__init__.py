@@ -4,8 +4,8 @@ hypergraphs.
 The library decides whether such a sequence is the degree sequence of an
 h-uniform hypergraph without parallel edges, and constructs a witness
 incidence matrix with pairwise distinct rows using fixed-density necklaces
-and Lyndon words. Everything is exact integer arithmetic over plain '0'/'1'
-strings.
+and Lyndon words. Everything is exact integer arithmetic; '0'/'1' strings
+appear only where a matrix is asked for.
 """
 
 from .feasibility import (

@@ -4,7 +4,10 @@ degree-sequence realization entry point.
 Input is checked where it enters: the `Hypergraph` constructor sorts and
 checks every edge it is given. `from_incidence` trusts the checked
 `BinaryMatrix` it reads, whose rows already give sorted in-range edges, and
-checks only what a matrix does not guarantee.
+checks only what a matrix does not guarantee; it serves matrices from outside
+and the CLI's `--format edges`. `realize` builds no matrix: it takes its edges
+straight from the construction plan and checks them as `from_incidence` does,
+plus the vertex range.
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .feasibility import (
     Feasibility,
     RegularInstance,
+    SpanOneInstance,
     check_degree_sequence,
 )
-from .reconstruct import rec_regular, rec_span_one
+from .reconstruct import _regular_edges, _span_one_edges
 from .words import BinaryMatrix
 
 __all__ = [
@@ -86,6 +91,13 @@ def from_incidence(matrix: BinaryMatrix) -> Hypergraph:
     # The end of each match of "1" is its 1-based column; the scan runs in C
     # and yields each edge sorted, without repeats and inside [1, ncols].
     edges = tuple(tuple(map(re.Match.end, _ONE.finditer(row))) for row in matrix.rows)
+    _check_edge_set(edges)
+    return Hypergraph._trusted(matrix.ncols, edges)
+
+
+def _check_edge_set(edges: tuple[tuple[int, ...], ...]) -> None:
+    """Reject edges of unequal sizes, empty edges and parallel edges, as
+    Hypergraph does."""
     sizes = set(map(len, edges))
     if len(sizes) > 1:
         raise ValueError("all edges must have the same size")
@@ -93,7 +105,6 @@ def from_incidence(matrix: BinaryMatrix) -> Hypergraph:
         raise ValueError("edges must be nonempty")
     if len(set(edges)) != len(edges):
         raise ValueError("parallel edges are not allowed")
-    return Hypergraph._trusted(matrix.ncols, edges)
 
 
 def to_incidence(hypergraph: Hypergraph) -> BinaryMatrix:
@@ -138,11 +149,29 @@ def realize(degrees: Iterable[int] | Sequence[int], h: int) -> RealizationResult
     assert check.result is not None
     if not check.result.feasible:
         return RealizationResult("infeasible", feasibility=check.result)
-    instance = check.instance
-    if isinstance(instance, RegularInstance):
-        matrix = rec_regular(instance)
-    else:
-        matrix = rec_span_one(instance)
     return RealizationResult(
-        "realized", hypergraph=from_incidence(matrix), feasibility=check.result
+        "realized", hypergraph=_witness(check.instance), feasibility=check.result
     )
+
+
+def _witness(instance: RegularInstance | SpanOneInstance) -> Hypergraph:
+    """The constructed hypergraph of a feasible instance, its edges read off
+    the construction plan and checked as `from_incidence` checks a matrix's,
+    plus the vertex range.
+
+    `realize` reaches `gen_lyndon` through this call as deep as it would
+    through `from_incidence(rec_*(instance))` in its place, so the sizes at
+    which the Lyndon recursion hits the interpreter's limit are the same for
+    `realize` and for the matrix path."""
+    if isinstance(instance, RegularInstance):
+        edges = _regular_edges(instance)
+    else:
+        edges = _span_one_edges(instance)
+    # The plan yields each edge sorted and without repeats; its first and
+    # last vertex bound the rest.
+    _check_edge_set(edges)
+    if edges and (
+        min(map(itemgetter(0), edges)) < 1 or max(map(itemgetter(-1), edges)) > instance.n
+    ):
+        raise ValueError("vertex index out of range")
+    return Hypergraph._trusted(instance.n, edges)

@@ -11,17 +11,27 @@ h/gcd(n,h) per column. Rows are emitted level by level, classes in
 lexicographic word order, shifts in shift order, blocks last; identical
 inputs therefore produce bit-identical outputs.
 
+A build is planned before any row exists. The plan is a list of segments,
+each a word tiled to length n and the left rotations of it that are rows,
+plus one `LevelPlan` per level. `rec_*` render the plan as '0'/'1' rows and
+check them once as a `BinaryMatrix`; `realize` takes each row's edge, the
+one-positions of its word moved by the shift, straight off the plan and never
+builds the row.
+
 The span-one build lifts the instance to the smallest strictly larger
-homogeneous one whose total fits the divisibility constraints, builds that,
-and deletes leading rows of the embedded coset block of 0^(n-h) 1^h. They
-lower every column alike but the last n1, which drop one further, so the
-columns already descend by sum and are never reordered.
+homogeneous one whose total fits the divisibility constraints, plans that,
+and drops from the plan the leading shifts of the embedded coset block of
+0^(n-h) 1^h. They lower every column alike but the last n1, which drop one
+further, so the columns already descend by sum and are never reordered.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress
 
 from .feasibility import (
     Feasibility,
@@ -46,6 +56,10 @@ __all__ = [
     "twin_free_bipartite",
     "verify",
 ]
+
+# A run of plan rows: a word tiled to the full row length n, and the left
+# rotations of it that are rows, in row order.
+_Segment = tuple[str, Sequence[int]]
 
 
 class ConstructionInvariantError(RuntimeError):
@@ -128,13 +142,18 @@ def rec_regular(inst: RegularInstance) -> BinaryMatrix:
 
 
 def rec_regular_with_plan(inst: RegularInstance) -> RegularReconstruction:
-    rows, levels = _build_regular(inst)
-    return RegularReconstruction(inst, BinaryMatrix(tuple(rows), inst.n), levels)
+    segments, levels = _plan_regular(inst)
+    return RegularReconstruction(inst, BinaryMatrix(_rows(segments), inst.n), levels)
 
 
-def _build_regular(inst: RegularInstance) -> tuple[list[str], tuple[LevelPlan, ...]]:
-    """Rows and level plans of the homogeneous build, unchecked: every row is
-    a rotation of a word built here, and the caller checks the matrix once."""
+def _regular_edges(inst: RegularInstance) -> tuple[tuple[int, ...], ...]:
+    """The edges of rec_regular(inst)'s rows, read off the plan."""
+    return _edges(_plan_regular(inst)[0])
+
+
+def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPlan, ...]]:
+    """Segments and level plans of the homogeneous build, unchecked: every
+    segment is a word built here, and the caller checks what it emits."""
     feas = check_regular(inst)
     if not feas.feasible:
         raise ValueError(f"infeasible homogeneous instance ({feas.violated})")
@@ -143,13 +162,14 @@ def _build_regular(inst: RegularInstance) -> tuple[list[str], tuple[LevelPlan, .
         return [], ()
     if h == 0:
         # Feasibility caps m at 1: a single all-zero row.
-        return ["0" * n] * m, ()
+        return [("0" * n, range(m))], ()
     if h == n:
         # Capacity forces v <= 1, hence m <= 1: a single all-ones row.
-        return ["1" * n] * m, ()
+        return [("1" * n, range(m))], ()
 
-    rows: list[str] = []
+    segments: list[_Segment] = []
     levels: list[LevelPlan] = []
+    nrows = 0
     remaining = v
     for d in common_divisors(n, h):
         if remaining == 0:
@@ -159,7 +179,7 @@ def _build_regular(inst: RegularInstance) -> tuple[list[str], tuple[LevelPlan, .
         q = min(remaining // dens, available)
         fill_here = remaining - q * dens > 0 and q < available
         reserved = "0" * (length - dens) + "1" * dens
-        offset = len(rows)
+        offset = nrows
         reserved_offset: int | None = None
         taken = 0
         # A Lyndon word is aperiodic, so its d-fold tiling has `length`
@@ -170,8 +190,9 @@ def _build_regular(inst: RegularInstance) -> tuple[list[str], tuple[LevelPlan, .
             if word == reserved:
                 if fill_here:
                     continue
-                reserved_offset = len(rows)
-            rows.extend(_rotations(word * d, length, 1))
+                reserved_offset = nrows
+            segments.append((word * d, range(length)))
+            nrows += length
             taken += 1
         if taken != q:
             raise ConstructionInvariantError("ran out of Lyndon words", inst, d)
@@ -183,20 +204,23 @@ def _build_regular(inst: RegularInstance) -> tuple[list[str], tuple[LevelPlan, .
             if (remaining * g) % dens:
                 raise ConstructionInvariantError("coset fill is not integral", inst, d)
             blocks = remaining * g // dens
-            blocks_offset = len(rows)
+            blocks_offset = nrows
             for j in range(blocks):
                 # block_submatrix(length, dens, j) with every row tiled d times.
                 block_word = "1" * j + "0" * (length - dens) + "1" * (dens - j)
-                rows.extend(_rotations(block_word * d, length // g, dens))
+                # Shifts by multiples of dens, reduced mod the tiled word's period.
+                shifts = [i * dens % length for i in range(length // g)]
+                segments.append((block_word * d, shifts))
+            nrows += blocks * (length // g)
             remaining = 0
         levels.append(
             LevelPlan(d, length, dens, q, blocks, offset, reserved_offset, blocks_offset)
         )
     if remaining != 0:
         raise ConstructionInvariantError("column sums left unmet after all levels", inst)
-    if len(rows) != m:
-        raise ConstructionInvariantError(f"built {len(rows)} rows, expected {m}", inst)
-    return rows, tuple(levels)
+    if nrows != m:
+        raise ConstructionInvariantError(f"built {nrows} rows, expected {m}", inst)
+    return segments, tuple(levels)
 
 
 def rec_span_one(inst: SpanOneInstance) -> BinaryMatrix:
@@ -207,52 +231,98 @@ def rec_span_one(inst: SpanOneInstance) -> BinaryMatrix:
 
 
 def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
+    lifted, segments, levels = _plan_span_one(inst)
+    matrix = BinaryMatrix(_rows(segments), inst.n)
+    if matrix.col_sums() != inst.degree_vector():
+        raise ConstructionInvariantError("column sums missed the target vector", inst)
+    return SpanOneReconstruction(
+        instance=inst,
+        matrix=matrix,
+        lifted_ones=lifted.m * lifted.h,
+        lifted_rows=lifted.m,
+        lifted_degree=lifted.v,
+        rows_deleted=lifted.m - inst.m,
+        column_order=tuple(range(inst.n)),
+        levels=levels,
+    )
+
+
+def _span_one_edges(inst: SpanOneInstance) -> tuple[tuple[int, ...], ...]:
+    """The edges of rec_span_one(inst)'s rows, read off the plan, under the
+    same column-sum postcondition."""
+    edges = _edges(_plan_span_one(inst)[1])
+    degrees = Counter(chain.from_iterable(edges))
+    if tuple(map(degrees.__getitem__, range(1, inst.n + 1))) != inst.degree_vector():
+        raise ConstructionInvariantError("column sums missed the target vector", inst)
+    return edges
+
+
+def _plan_span_one(
+    inst: SpanOneInstance,
+) -> tuple[RegularInstance, list[_Segment], tuple[LevelPlan, ...]]:
+    """The lifted homogeneous instance, and the segments and level plans of
+    its build with the surplus rows deleted."""
     feas = check_span_one(inst)
     if not feas.feasible:
         raise ValueError(f"infeasible span-one instance ({feas.violated})")
     n, h, m = inst.n, inst.h, inst.m
 
     # Lift to the smallest total above h*m that lcm(n, h) divides. As h*m =
-    # n*v - n1 is no multiple of n, deleted = lifted_rows - m < n/gcd(n, h).
+    # n*v - n1 is no multiple of n, deleted = lifted.m - m < n/gcd(n, h).
     step = n * h // math.gcd(n, h)
     lifted_ones = (h * m // step + 1) * step
-    lifted_rows = lifted_ones // h
-    lifted_degree = lifted_ones // n
-    rows, levels = _build_regular(RegularInstance(n=n, m=lifted_rows, h=h, v=lifted_degree))
-    deleted = lifted_rows - m
+    lifted = RegularInstance(n=n, m=lifted_ones // h, h=h, v=lifted_ones // n)
+    segments, levels = _plan_regular(lifted)
+    deleted = lifted.m - m
 
     # The base level always embeds the class of 0^(n-h) 1^h, either whole or
-    # as coset blocks; drop its first `deleted` shift-by-h rows.
+    # as coset blocks; drop its first `deleted` shift-by-h rows. Deleted row i
+    # has its ones at [n-(i+1)h, n-ih) mod n, so the deleted rows cover
+    # n*(lifted.v - v) + n1 cells running down from column n-1: only the last
+    # n1 columns drop to v-1, and the columns need no reordering. The base
+    # level is divisor 1, whose classes have n rows each and precede its
+    # blocks, so its row offsets divided by n index its segments.
     base_level = levels[0]
     if base_level.blocks_offset is not None:
-        del rows[base_level.blocks_offset : base_level.blocks_offset + deleted]
+        i = base_level.blocks_offset // n
+        word, shifts = segments[i]
+        segments[i] = (word, shifts[deleted:])
     elif base_level.reserved_offset is not None:
-        # The whole class is the n rotations from reserved_offset in shift order.
-        start = base_level.reserved_offset
-        doomed = {(i * h) % n for i in range(deleted)}
-        whole_class = rows[start : start + n]
-        rows[start : start + n] = [row for k, row in enumerate(whole_class) if k not in doomed]
+        # The whole class is the n rotations of the reserved word in shift order.
+        i = base_level.reserved_offset // n
+        doomed = {(j * h) % n for j in range(deleted)}
+        word, shifts = segments[i]
+        segments[i] = (word, [k for k in shifts if k not in doomed])
     else:
         raise ConstructionInvariantError(
             "reserved class missing from base level", inst, base_level.divisor
         )
+    return lifted, segments, levels
 
-    # Deleted row i has its ones at [n-(i+1)h, n-ih) mod n, so the deleted rows
-    # cover n*(lifted_degree - v) + n1 cells running down from column n-1: only
-    # the last n1 columns drop to v-1, and the columns need no reordering.
-    matrix = BinaryMatrix(tuple(rows), n)
-    if matrix.col_sums() != inst.degree_vector():
-        raise ConstructionInvariantError("column sums missed the target vector", inst)
-    return SpanOneReconstruction(
-        instance=inst,
-        matrix=matrix,
-        lifted_ones=lifted_ones,
-        lifted_rows=lifted_rows,
-        lifted_degree=lifted_degree,
-        rows_deleted=deleted,
-        column_order=tuple(range(n)),
-        levels=levels,
-    )
+
+def _rows(segments: list[_Segment]) -> tuple[str, ...]:
+    """The plan's rows as '0'/'1' strings, in row order."""
+    return tuple(chain.from_iterable(_rotations(word, shifts) for word, shifts in segments))
+
+
+def _edges(segments: list[_Segment]) -> tuple[tuple[int, ...], ...]:
+    """Each row's sorted 1-based one-positions, in row order, without
+    building the row: the row of shift k holds the ones at positions k+1 ..
+    k+n of the doubled word, moved down by k."""
+    edges: list[tuple[int, ...]] = []
+    for word, shifts in segments:
+        n = len(word)
+        is_one = list(map("1".__eq__, word))
+        ones = list(compress(range(1, n + 1), is_one))
+        doubled = ones + [p + n for p in ones]
+        # start[k], the number of ones left of position k, is where the
+        # window of shift k begins in `doubled`; every shift is below n.
+        start = list(accumulate(is_one, initial=0))
+        h = len(ones)
+        edges.extend(
+            [tuple([p - k for p in doubled[start[k] : start[k] + h]]) for k in shifts]
+        )
+    return tuple(edges)
 
 
 @dataclass(frozen=True)

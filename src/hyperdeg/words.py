@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 __all__ = [
@@ -55,11 +55,11 @@ def _check_word(w: str) -> str:
     return w
 
 
-def _rotations(word: str, count: int, step: int) -> tuple[str, ...]:
-    """The left rotations of a checked word by 0, step, ..., (count-1)*step."""
+def _rotations(word: str, shifts: Iterable[int]) -> tuple[str, ...]:
+    """The left rotations of a checked word by each of `shifts`."""
     n = len(word)
     doubled = word + word
-    return tuple([doubled[k % n : k % n + n] for k in range(0, count * step, step)])
+    return tuple([doubled[k % n : k % n + n] for k in shifts])
 
 
 def _row_blocks(
@@ -165,7 +165,7 @@ def shift_matrix(u: str) -> BinaryMatrix:
     The matrix has period(u) rows and homogeneous column sums equal to
     density(u) * period(u) / len(u).
     """
-    return BinaryMatrix(_rotations(u, period(u), 1), len(u))
+    return BinaryMatrix(_rotations(u, range(period(u))), len(u))
 
 
 def block_submatrix(n: int, h: int, j: int) -> BinaryMatrix:
@@ -181,4 +181,4 @@ def block_submatrix(n: int, h: int, j: int) -> BinaryMatrix:
     if not 0 <= j < g:
         raise ValueError(f"block index must lie in [0, {g}), got {j}")
     word = "1" * j + "0" * (n - h) + "1" * (h - j)
-    return BinaryMatrix(_rotations(word, n // g, h), n)
+    return BinaryMatrix(_rotations(word, range(0, n // g * h, h)), n)

@@ -1,9 +1,12 @@
+import inspect
+import math
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hyperdeg import hypergraphs, reconstruct
 from hyperdeg.feasibility import (
     RegularInstance,
     SpanOneInstance,
@@ -17,7 +20,7 @@ from hyperdeg.hypergraphs import (
     realize,
     to_incidence,
 )
-from hyperdeg.reconstruct import rec_regular, rec_span_one
+from hyperdeg.reconstruct import ConstructionInvariantError, rec_regular, rec_span_one
 from hyperdeg.words import BinaryMatrix
 
 
@@ -211,8 +214,97 @@ class TestRealize:
         if feasible:
             assert degree_sequence(realize(degrees, 2).hypergraph) == degrees
 
+    # h-uniform sequences of m edges on n vertices: regular when n divides
+    # h*m, span-one otherwise; at most 10^5 cells.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=300).flatmap(
+            lambda n: st.integers(min_value=1, max_value=n - 1).flatmap(
+                lambda h: st.integers(
+                    min_value=1, max_value=min(math.comb(n, h), 100_000 // n)
+                ).map(lambda m: (n, h, m))
+            )
+        )
+    )
+    @example((4, 2, 1))  # degrees (1, 1, 0, 0): span-one deletes from a coset block
+    @example((3, 2, 2))  # degrees (2, 1, 1): span-one deletes from the reserved class
+    def test_edges_match_the_matrix_construction(self, case):
+        n, h, m = case
+        v = -(-h * m // n)
+        n1 = n * v - h * m
+        degrees = (v,) * (n - n1) + (v - 1,) * n1
+        check = check_degree_sequence(degrees, h)
+        assume(check.result.feasible)
+        build = rec_regular if n1 == 0 else rec_span_one
+        expected = from_incidence(build(check.instance)).edges
+        assert realize(degrees, h).hypergraph.edges == expected
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             realize((2, 2), 0)
         with pytest.raises(ValueError):
             realize((), 2)
+
+
+class TestRealizeChecks:
+    """realize builds its edges from the construction plan without a matrix;
+    a faulty plan must still be caught."""
+
+    def test_plan_missing_the_degree_vector(self, monkeypatch):
+        plan = reconstruct._plan_span_one
+
+        def short_plan(inst):
+            lifted, segments, levels = plan(inst)
+            word, shifts = segments[-1]
+            return lifted, segments[:-1] + [(word, shifts[:-1])], levels
+
+        monkeypatch.setattr(reconstruct, "_plan_span_one", short_plan)
+        with pytest.raises(ConstructionInvariantError, match="column sums missed"):
+            realize((5, 5, 5, 4, 4, 4, 4, 4, 4), 3)
+
+    def test_duplicated_segment_gives_parallel_edges(self, monkeypatch):
+        plan = reconstruct._plan_regular
+
+        def doubled_plan(inst):
+            segments, levels = plan(inst)
+            return segments + segments[:1], levels
+
+        monkeypatch.setattr(reconstruct, "_plan_regular", doubled_plan)
+        with pytest.raises(ValueError, match="parallel"):
+            realize((5,) * 6, 2)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_vertex_outside_the_range(self, monkeypatch, shift):
+        edges = hypergraphs._regular_edges
+
+        def shifted_edges(inst):
+            return tuple(tuple(v + shift for v in edge) for edge in edges(inst))
+
+        monkeypatch.setattr(hypergraphs, "_regular_edges", shifted_edges)
+        with pytest.raises(ValueError, match="out of range"):
+            realize((5,) * 6, 2)
+
+    @pytest.mark.parametrize(
+        "degrees, h", [((5,) * 6, 2), ((5, 5, 5, 4, 4, 4, 4, 4, 4), 3)], ids=["regular", "span-one"]
+    )
+    def test_lyndon_generation_runs_as_deep_as_on_the_matrix_path(self, monkeypatch, degrees, h):
+        # Then the Lyndon recursion hits the interpreter's limit at the same
+        # sizes for realize and for a matrix build in its place.
+        depths = []
+        real = reconstruct.gen_lyndon
+
+        def gen_lyndon(n, d):
+            depths.append(len(inspect.stack(0)))
+            return real(n, d)
+
+        def through_matrix(degrees, h):
+            instance = check_degree_sequence(degrees, h).instance
+            build = rec_regular if isinstance(instance, RegularInstance) else rec_span_one
+            return from_incidence(build(instance))
+
+        monkeypatch.setattr(reconstruct, "gen_lyndon", gen_lyndon)
+        realize(degrees, h)
+        plain = list(depths)
+        depths.clear()
+        through_matrix(degrees, h)
+        assert plain and plain == depths

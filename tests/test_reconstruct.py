@@ -4,6 +4,7 @@ import pytest
 
 from hyperdeg import reconstruct
 from hyperdeg.feasibility import RegularInstance, SpanOneInstance, check_regular, check_span_one
+from hyperdeg.hypergraphs import from_incidence, realize
 from hyperdeg.necklaces import binomial
 from hyperdeg.reconstruct import (
     ConstructionInvariantError,
@@ -119,7 +120,12 @@ class TestConstructionInvariantError:
 class TestRecRegularSweep:
     def test_all_feasible_instances_verify(self):
         for inst in feasible_regular_instances(10):
-            assert verify(rec_regular(inst), inst).ok, inst
+            matrix = rec_regular(inst)
+            assert verify(matrix, inst).ok, inst
+            if inst.h:
+                # realize reads its edges off the plan, not off these rows.
+                realized = realize((inst.v,) * inst.n, inst.h).hypergraph
+                assert realized.edges == from_incidence(matrix).edges, inst
 
     def test_determinism(self):
         inst = RegularInstance(10, 36, 5, 18)
@@ -188,6 +194,8 @@ class TestRecSpanOneSweep:
         for inst in feasible_span_one_instances(8):
             built = rec_span_one_with_plan(inst)
             assert verify(built.matrix, inst).ok, inst
+            realized = realize(inst.degree_vector(), inst.h).hypergraph
+            assert realized.edges == from_incidence(built.matrix).edges, inst
             # columns come out ordered by descending sum
             sums = built.matrix.col_sums()
             assert sums == tuple(sorted(sums, reverse=True))
