@@ -2,10 +2,10 @@
 hypergraphs.
 
 The library decides whether such a sequence is the degree sequence of an
-h-uniform hypergraph without parallel edges, and constructs a witness
-incidence matrix with pairwise distinct rows using fixed-density necklaces
-and Lyndon words. Everything is exact integer arithmetic; '0'/'1' strings
-appear only where a matrix is asked for.
+h-uniform hypergraph without parallel edges, and constructs a witness with
+pairwise distinct edges from fixed-density necklaces and Lyndon words, in one
+checked call per degree class. Everything is exact integer arithmetic;
+'0'/'1' strings appear only where a matrix is asked for.
 """
 
 from .feasibility import (
@@ -46,9 +46,7 @@ from .reconstruct import (
     RegularReconstruction,
     SpanOneReconstruction,
     VerifyResult,
-    rec_regular,
     rec_regular_with_plan,
-    rec_span_one,
     rec_span_one_with_plan,
     twin_free_bipartite,
     verify,
@@ -106,9 +104,7 @@ __all__ = [
     "mobius",
     "period",
     "realize",
-    "rec_regular",
     "rec_regular_with_plan",
-    "rec_span_one",
     "rec_span_one_with_plan",
     "shift_matrix",
     "to_incidence",

@@ -14,7 +14,7 @@ import sys
 from collections.abc import Sequence
 
 from .feasibility import RegularInstance, SpanOneInstance, check_degree_sequence
-from .hypergraphs import from_incidence
+from .hypergraphs import Hypergraph, from_incidence
 from .necklaces import count_lyndon, count_necklaces, gen_lyndon, gen_necklaces
 from .oracle import exists_distinct_rows
 from .reconstruct import (
@@ -140,7 +140,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     else:
         assert isinstance(check.instance, SpanOneInstance)
         built = rec_span_one_with_plan(check.instance)
-    _emit(_render_matrix(built.matrix, args.format, args.h, built.plan_json()), args.output)
+    if args.format == "edges":
+        text = Hypergraph._trusted(check.instance.n, built.edges).to_edges_text()
+    else:
+        text = _render_matrix(built.matrix, args.format, args.h, built.plan_json())
+    _emit(text, args.output)
     return EXIT_OK
 
 

@@ -5,9 +5,8 @@ Input is checked where it enters: the `Hypergraph` constructor sorts and
 checks every edge it is given. `from_incidence` trusts the checked
 `BinaryMatrix` it reads, whose rows already give sorted in-range edges, and
 checks only what a matrix does not guarantee; it serves matrices from outside
-and the CLI's `--format edges`. `realize` builds no matrix: it takes its edges
-straight from the construction plan and checks them as `from_incidence` does,
-plus the vertex range.
+and `hyperdeg bipartite --format edges`. `realize` builds no matrix: it wraps
+the edges that the construction read off its plan and checked once.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .feasibility import (
     Feasibility,
@@ -23,7 +21,7 @@ from .feasibility import (
     SpanOneInstance,
     check_degree_sequence,
 )
-from .reconstruct import _regular_edges, _span_one_edges
+from .reconstruct import rec_regular_with_plan, rec_span_one_with_plan
 from .words import BinaryMatrix
 
 __all__ = [
@@ -155,23 +153,14 @@ def realize(degrees: Iterable[int] | Sequence[int], h: int) -> RealizationResult
 
 
 def _witness(instance: RegularInstance | SpanOneInstance) -> Hypergraph:
-    """The constructed hypergraph of a feasible instance, its edges read off
-    the construction plan and checked as `from_incidence` checks a matrix's,
-    plus the vertex range.
+    """The constructed hypergraph of a feasible instance, on the edges the
+    construction checked.
 
-    `realize` reaches `gen_lyndon` through this call as deep as it would
-    through `from_incidence(rec_*(instance))` in its place, so the sizes at
-    which the Lyndon recursion hits the interpreter's limit are the same for
-    `realize` and for the matrix path."""
+    Keep this call: through it `realize` reaches the recursive `gen_lyndon`
+    as deep as the benchmark's traced replay does, so both hit the
+    interpreter's recursion limit at the same sizes."""
     if isinstance(instance, RegularInstance):
-        edges = _regular_edges(instance)
+        built = rec_regular_with_plan(instance)
     else:
-        edges = _span_one_edges(instance)
-    # The plan yields each edge sorted and without repeats; its first and
-    # last vertex bound the rest.
-    _check_edge_set(edges)
-    if edges and (
-        min(map(itemgetter(0), edges)) < 1 or max(map(itemgetter(-1), edges)) > instance.n
-    ):
-        raise ValueError("vertex index out of range")
-    return Hypergraph._trusted(instance.n, edges)
+        built = rec_span_one_with_plan(instance)
+    return Hypergraph._trusted(instance.n, built.edges)

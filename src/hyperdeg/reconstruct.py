@@ -13,10 +13,10 @@ inputs therefore produce bit-identical outputs.
 
 A build is planned before any row exists. The plan is a list of segments,
 each a word tiled to length n and the left rotations of it that are rows,
-plus one `LevelPlan` per level. `rec_*` render the plan as '0'/'1' rows and
-check them once as a `BinaryMatrix`; `realize` takes each row's edge, the
-one-positions of its word moved by the shift, straight off the plan and never
-builds the row.
+plus one `LevelPlan` per level. `rec_*_with_plan`, the one construction call
+per degree class, reads each row's edge (the one-positions of its word moved
+by the shift) off the plan and checks the edges once; the '0'/'1' rows are
+rendered only when a reconstruction's `matrix` is asked for.
 
 The span-one build lifts the instance to the smallest strictly larger
 homogeneous one whose total fits the divisibility constraints, plans that,
@@ -30,8 +30,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain, compress
+from operator import itemgetter
 
 from .feasibility import (
     Feasibility,
@@ -49,9 +51,7 @@ __all__ = [
     "RegularReconstruction",
     "SpanOneReconstruction",
     "VerifyResult",
-    "rec_regular",
     "rec_regular_with_plan",
-    "rec_span_one",
     "rec_span_one_with_plan",
     "twin_free_bipartite",
     "verify",
@@ -60,6 +60,7 @@ __all__ = [
 # A run of plan rows: a word tiled to the full row length n, and the left
 # rotations of it that are rows, in row order.
 _Segment = tuple[str, Sequence[int]]
+_Edges = tuple[tuple[int, ...], ...]
 
 
 class ConstructionInvariantError(RuntimeError):
@@ -103,26 +104,36 @@ class LevelPlan:
         }
 
 
+class _RendersRows:
+    """The `matrix` of a reconstruction, rendered from its plan on first use."""
+
+    @cached_property
+    def matrix(self) -> BinaryMatrix:
+        return BinaryMatrix(_rows(self._segments), self.instance.n)
+
+
 @dataclass(frozen=True)
-class RegularReconstruction:
+class RegularReconstruction(_RendersRows):
     instance: RegularInstance
-    matrix: BinaryMatrix
+    edges: _Edges  # sorted 1-based one-positions of each row, in row order
     levels: tuple[LevelPlan, ...]
+    _segments: list[_Segment] = field(repr=False, compare=False)
 
     def plan_json(self) -> dict:
         return {"levels": [level.to_json_dict() for level in self.levels]}
 
 
 @dataclass(frozen=True)
-class SpanOneReconstruction:
+class SpanOneReconstruction(_RendersRows):
     instance: SpanOneInstance
-    matrix: BinaryMatrix
+    edges: _Edges
     lifted_ones: int  # total ones of the intermediate homogeneous instance
     lifted_rows: int  # its row count
     lifted_degree: int  # its homogeneous column sum
     rows_deleted: int
     column_order: tuple[int, ...]
     levels: tuple[LevelPlan, ...]  # plan of the intermediate build
+    _segments: list[_Segment] = field(repr=False, compare=False)
 
     def plan_json(self) -> dict:
         return {
@@ -135,20 +146,11 @@ class SpanOneReconstruction:
         }
 
 
-def rec_regular(inst: RegularInstance) -> BinaryMatrix:
-    """Construct an m x n matrix with distinct rows, row sums h and column
-    sums v. The instance must pass check_regular."""
-    return rec_regular_with_plan(inst).matrix
-
-
 def rec_regular_with_plan(inst: RegularInstance) -> RegularReconstruction:
+    """Construct m distinct edges of size h on vertices 1..n, each vertex in
+    v of them. The instance must pass check_regular."""
     segments, levels = _plan_regular(inst)
-    return RegularReconstruction(inst, BinaryMatrix(_rows(segments), inst.n), levels)
-
-
-def _regular_edges(inst: RegularInstance) -> tuple[tuple[int, ...], ...]:
-    """The edges of rec_regular(inst)'s rows, read off the plan."""
-    return _edges(_plan_regular(inst)[0])
+    return RegularReconstruction(inst, _checked_edges(segments, inst), levels, segments)
 
 
 def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPlan, ...]]:
@@ -218,43 +220,29 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
         )
     if remaining != 0:
         raise ConstructionInvariantError("column sums left unmet after all levels", inst)
-    if nrows != m:
-        raise ConstructionInvariantError(f"built {nrows} rows, expected {m}", inst)
     return segments, tuple(levels)
 
 
-def rec_span_one(inst: SpanOneInstance) -> BinaryMatrix:
-    """Construct an m x n matrix with distinct rows, row sums h, n0 columns
-    summing to v then n1 columns summing to v-1, an order the construction
-    yields without permuting columns. The instance must pass check_span_one."""
-    return rec_span_one_with_plan(inst).matrix
-
-
 def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
+    """Construct m distinct edges of size h on vertices 1..n, 1..n0 each in
+    v of them and the last n1 in v-1, an order the construction yields
+    without permuting columns. The instance must pass check_span_one."""
     lifted, segments, levels = _plan_span_one(inst)
-    matrix = BinaryMatrix(_rows(segments), inst.n)
-    if matrix.col_sums() != inst.degree_vector():
+    edges = _checked_edges(segments, inst)
+    degrees = Counter(chain.from_iterable(edges))
+    if tuple(map(degrees.__getitem__, range(1, inst.n + 1))) != inst.degree_vector():
         raise ConstructionInvariantError("column sums missed the target vector", inst)
     return SpanOneReconstruction(
         instance=inst,
-        matrix=matrix,
+        edges=edges,
         lifted_ones=lifted.m * lifted.h,
         lifted_rows=lifted.m,
         lifted_degree=lifted.v,
         rows_deleted=lifted.m - inst.m,
         column_order=tuple(range(inst.n)),
         levels=levels,
+        _segments=segments,
     )
-
-
-def _span_one_edges(inst: SpanOneInstance) -> tuple[tuple[int, ...], ...]:
-    """The edges of rec_span_one(inst)'s rows, read off the plan, under the
-    same column-sum postcondition."""
-    edges = _edges(_plan_span_one(inst)[1])
-    degrees = Counter(chain.from_iterable(edges))
-    if tuple(map(degrees.__getitem__, range(1, inst.n + 1))) != inst.degree_vector():
-        raise ConstructionInvariantError("column sums missed the target vector", inst)
-    return edges
 
 
 def _plan_span_one(
@@ -305,7 +293,7 @@ def _rows(segments: list[_Segment]) -> tuple[str, ...]:
     return tuple(chain.from_iterable(_rotations(word, shifts) for word, shifts in segments))
 
 
-def _edges(segments: list[_Segment]) -> tuple[tuple[int, ...], ...]:
+def _edges(segments: list[_Segment]) -> _Edges:
     """Each row's sorted 1-based one-positions, in row order, without
     building the row: the row of shift k holds the ones at positions k+1 ..
     k+n of the doubled word, moved down by k."""
@@ -323,6 +311,25 @@ def _edges(segments: list[_Segment]) -> tuple[tuple[int, ...], ...]:
             [tuple([p - k for p in doubled[start[k] : start[k] + h]]) for k in shifts]
         )
     return tuple(edges)
+
+
+def _checked_edges(segments: list[_Segment], inst: RegularInstance | SpanOneInstance) -> _Edges:
+    """The plan's edges, checked once: exactly m of them, each of size h,
+    no two equal, every vertex in 1..n. `_edges` yields each edge sorted and
+    without repeats, so its first and last vertex bound the rest."""
+    edges = _edges(segments)
+    if len(edges) != inst.m:
+        raise ConstructionInvariantError(f"built {len(edges)} edges, expected {inst.m}", inst)
+    if set(map(len, edges)) - {inst.h}:
+        raise ConstructionInvariantError(f"built an edge not of size {inst.h}", inst)
+    if len(set(edges)) != len(edges):
+        raise ConstructionInvariantError("built parallel edges", inst)
+    # h == 0 gives one empty edge, which has no vertex to bound.
+    if inst.h and edges and (
+        min(map(itemgetter(0), edges)) < 1 or max(map(itemgetter(-1), edges)) > inst.n
+    ):
+        raise ConstructionInvariantError("built a vertex outside 1..n", inst)
+    return edges
 
 
 @dataclass(frozen=True)
@@ -363,4 +370,4 @@ def twin_free_bipartite(n: int, k: int) -> BinaryMatrix:
     with no twins: symmetric, distinct rows, distinct columns."""
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got n={n}, k={k}")
-    return rec_regular(RegularInstance(n=n, m=n, h=k, v=k))
+    return rec_regular_with_plan(RegularInstance(n=n, m=n, h=k, v=k)).matrix

@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from hyperdeg import cli
+from hyperdeg import cli, reconstruct
 from hyperdeg.cli import main
 
 
@@ -254,6 +255,58 @@ class TestInternalErrors:
         code, out, err = run(capsys, "count", "--n", "6", "--h", "2", "--kind", "lyndon")
         assert code == 3 and out == ""
         assert err == "internal error: RuntimeError: first line second line\n"
+
+    @pytest.mark.parametrize("fmt", ["lines", "edges"])
+    def test_construction_fault_is_internal(self, capsys, monkeypatch, fmt):
+        plan = reconstruct._plan_regular
+
+        def doubled_plan(inst):
+            # One class twice: 21 rows, 6 of them repeated, where 15 are due.
+            segments, levels = plan(inst)
+            return segments + segments[:1], levels
+
+        monkeypatch.setattr(reconstruct, "_plan_regular", doubled_plan)
+        code, out, err = run(
+            capsys, "reconstruct", "--h", "2", "--n", "6", "--v", "5", "--format", fmt
+        )
+        assert code == 3 and out == ""
+        assert err.startswith(
+            "internal error: ConstructionInvariantError: built 21 edges, expected 15"
+        )
+        assert len(err.splitlines()) == 1
+
+
+class TestCallDepth:
+    # From cli.main to gen_lyndon, both counted, the call chain is main,
+    # cmd_reconstruct, rec_*_with_plan, _plan_* (span-one: then _plan_regular)
+    # and gen_lyndon: 5 and 6 frames, as measured before the construction had
+    # one call per degree class. The Lyndon generator recurses to depth n, so
+    # one frame less lets larger n build before RecursionError; that changes
+    # which long sparse instances succeed and how much memory a run peaks at.
+    @pytest.mark.parametrize(
+        "source, frames",
+        [
+            (("--n", "6", "--v", "5", "--h", "2"), 5),
+            (("--degrees", "5,5,5,4,4,4,4,4,4", "--h", "3"), 6),
+        ],
+        ids=["regular", "span-one"],
+    )
+    @pytest.mark.parametrize("fmt", ["lines", "edges"])
+    def test_reconstruct_reaches_lyndon_generation_at_a_fixed_depth(
+        self, capsys, monkeypatch, source, frames, fmt
+    ):
+        depths = []
+        real = reconstruct.gen_lyndon
+
+        def gen_lyndon(n, d):
+            codes = [info.frame.f_code for info in inspect.stack(0)]
+            depths.append(codes.index(main.__code__) + 1)
+            return real(n, d)
+
+        monkeypatch.setattr(reconstruct, "gen_lyndon", gen_lyndon)
+        code, _, _ = run(capsys, "reconstruct", *source, "--format", fmt)
+        assert code == 0
+        assert depths and set(depths) == {frames}
 
 
 class TestUsageErrors:

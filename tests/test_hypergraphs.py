@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hyperdeg import hypergraphs, reconstruct
+from hyperdeg import reconstruct
 from hyperdeg.feasibility import (
     RegularInstance,
     SpanOneInstance,
@@ -20,7 +20,11 @@ from hyperdeg.hypergraphs import (
     realize,
     to_incidence,
 )
-from hyperdeg.reconstruct import ConstructionInvariantError, rec_regular, rec_span_one
+from hyperdeg.reconstruct import (
+    ConstructionInvariantError,
+    rec_regular_with_plan,
+    rec_span_one_with_plan,
+)
 from hyperdeg.words import BinaryMatrix
 
 
@@ -76,7 +80,7 @@ class TestIncidenceConversions:
             from_incidence(BinaryMatrix(rows, len(rows[0])))
 
     def test_rec_output_is_complete_graph(self):
-        hg = from_incidence(rec_regular(RegularInstance(6, 15, 2, 5)))
+        hg = from_incidence(rec_regular_with_plan(RegularInstance(6, 15, 2, 5)).matrix)
         assert set(hg.edges) == set(combinations(range(1, 7), 2))
         assert degree_sequence(hg) == (5,) * 6
 
@@ -127,7 +131,7 @@ class TestIncidenceConversions:
 class TestDegreeSequence:
     def test_examples(self):
         assert degree_sequence(Hypergraph(3, ((1, 2), (1, 3)))) == (2, 1, 1)
-        span = from_incidence(rec_span_one(SpanOneInstance(9, 3, 5, 3, 6)))
+        span = from_incidence(rec_span_one_with_plan(SpanOneInstance(9, 3, 5, 3, 6)).matrix)
         assert degree_sequence(span) == (5, 5, 5, 4, 4, 4, 4, 4, 4)
 
 
@@ -235,9 +239,10 @@ class TestRealize:
         degrees = (v,) * (n - n1) + (v - 1,) * n1
         check = check_degree_sequence(degrees, h)
         assume(check.result.feasible)
-        build = rec_regular if n1 == 0 else rec_span_one
-        expected = from_incidence(build(check.instance)).edges
-        assert realize(degrees, h).hypergraph.edges == expected
+        build = rec_regular_with_plan if n1 == 0 else rec_span_one_with_plan
+        built = build(check.instance)
+        assert built.edges == from_incidence(built.matrix).edges
+        assert realize(degrees, h).hypergraph.edges == built.edges
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -247,18 +252,20 @@ class TestRealize:
 
 
 class TestRealizeChecks:
-    """realize builds its edges from the construction plan without a matrix;
-    a faulty plan must still be caught."""
+    """The construction reads its edges off the plan without a matrix and
+    checks them once; a faulty plan or emitter must still be caught."""
 
     def test_plan_missing_the_degree_vector(self, monkeypatch):
         plan = reconstruct._plan_span_one
 
-        def short_plan(inst):
+        def misplaced_deletion(inst):
+            # The cut coset block ('000000111', [6]) keeps shift 0 in place of
+            # shift 6: as many distinct rows, but the first columns lowered.
             lifted, segments, levels = plan(inst)
-            word, shifts = segments[-1]
-            return lifted, segments[:-1] + [(word, shifts[:-1])], levels
+            segments[1] = (segments[1][0], [0])
+            return lifted, segments, levels
 
-        monkeypatch.setattr(reconstruct, "_plan_span_one", short_plan)
+        monkeypatch.setattr(reconstruct, "_plan_span_one", misplaced_deletion)
         with pytest.raises(ConstructionInvariantError, match="column sums missed"):
             realize((5, 5, 5, 4, 4, 4, 4, 4, 4), 3)
 
@@ -266,30 +273,49 @@ class TestRealizeChecks:
         plan = reconstruct._plan_regular
 
         def doubled_plan(inst):
+            # The first class in place of the second: as many rows, six repeated.
             segments, levels = plan(inst)
-            return segments + segments[:1], levels
+            return segments[:1] * 2 + segments[2:], levels
 
         monkeypatch.setattr(reconstruct, "_plan_regular", doubled_plan)
-        with pytest.raises(ValueError, match="parallel"):
+        with pytest.raises(ConstructionInvariantError, match="parallel"):
+            realize((5,) * 6, 2)
+
+    def test_edge_of_the_wrong_size(self, monkeypatch):
+        edges = reconstruct._edges
+        monkeypatch.setattr(
+            reconstruct, "_edges", lambda segments: tuple(e[1:] for e in edges(segments))
+        )
+        with pytest.raises(ConstructionInvariantError, match="not of size 2"):
             realize((5,) * 6, 2)
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_vertex_outside_the_range(self, monkeypatch, shift):
-        edges = hypergraphs._regular_edges
+        edges = reconstruct._edges
 
-        def shifted_edges(inst):
-            return tuple(tuple(v + shift for v in edge) for edge in edges(inst))
+        def shifted_edges(segments):
+            return tuple(tuple(v + shift for v in edge) for edge in edges(segments))
 
-        monkeypatch.setattr(hypergraphs, "_regular_edges", shifted_edges)
-        with pytest.raises(ValueError, match="out of range"):
+        monkeypatch.setattr(reconstruct, "_edges", shifted_edges)
+        with pytest.raises(ConstructionInvariantError, match="outside 1..n"):
             realize((5,) * 6, 2)
+
+    def test_realize_renders_no_rows(self, monkeypatch):
+        def no_rows(segments):
+            raise AssertionError("realize rendered '0'/'1' rows")
+
+        monkeypatch.setattr(reconstruct, "_rows", no_rows)
+        assert realize((5,) * 6, 2).status == "realized"
+        assert realize((5, 5, 5, 4, 4, 4, 4, 4, 4), 3).status == "realized"
 
     @pytest.mark.parametrize(
         "degrees, h", [((5,) * 6, 2), ((5, 5, 5, 4, 4, 4, 4, 4, 4), 3)], ids=["regular", "span-one"]
     )
     def test_lyndon_generation_runs_as_deep_as_on_the_matrix_path(self, monkeypatch, degrees, h):
-        # Then the Lyndon recursion hits the interpreter's limit at the same
-        # sizes for realize and for a matrix build in its place.
+        # The benchmark's traced replay of realize calls rec_*_with_plan two
+        # frames below its op, as through_matrix does here; realize must reach
+        # gen_lyndon as deep, or the Lyndon recursion would hit the
+        # interpreter's limit at other sizes in plain and traced runs.
         depths = []
         real = reconstruct.gen_lyndon
 
@@ -298,9 +324,12 @@ class TestRealizeChecks:
             return real(n, d)
 
         def through_matrix(degrees, h):
-            instance = check_degree_sequence(degrees, h).instance
-            build = rec_regular if isinstance(instance, RegularInstance) else rec_span_one
-            return from_incidence(build(instance))
+            return from_incidence(build(check_degree_sequence(degrees, h).instance).matrix)
+
+        def build(instance):
+            if isinstance(instance, RegularInstance):
+                return rec_regular_with_plan(instance)
+            return rec_span_one_with_plan(instance)
 
         monkeypatch.setattr(reconstruct, "gen_lyndon", gen_lyndon)
         realize(degrees, h)

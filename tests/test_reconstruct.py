@@ -8,9 +8,7 @@ from hyperdeg.hypergraphs import from_incidence, realize
 from hyperdeg.necklaces import binomial
 from hyperdeg.reconstruct import (
     ConstructionInvariantError,
-    rec_regular,
     rec_regular_with_plan,
-    rec_span_one,
     rec_span_one_with_plan,
     twin_free_bipartite,
     verify,
@@ -81,22 +79,22 @@ class TestRecRegularWorkedExamples:
 
     def test_square_case_is_symmetric_with_reserved_first_row(self):
         for n, h in [(4, 2), (5, 2), (6, 3), (7, 4), (9, 3)]:
-            matrix = rec_regular(RegularInstance(n, n, h, h))
+            matrix = rec_regular_with_plan(RegularInstance(n, n, h, h)).matrix
             assert matrix.rows[0] == "0" * (n - h) + "1" * h
             assert matrix.transpose() == matrix
             assert len(set(matrix.rows)) == n
 
     def test_degenerate_shapes(self):
-        assert rec_regular(RegularInstance(5, 0, 3, 0)).rows == ()
-        assert rec_regular(RegularInstance(4, 1, 4, 1)).rows == ("1111",)
-        assert rec_regular(RegularInstance(1, 1, 1, 1)).rows == ("1",)
-        assert rec_regular(RegularInstance(4, 1, 0, 0)).rows == ("0000",)
+        assert rec_regular_with_plan(RegularInstance(5, 0, 3, 0)).matrix.rows == ()
+        assert rec_regular_with_plan(RegularInstance(4, 1, 4, 1)).matrix.rows == ("1111",)
+        assert rec_regular_with_plan(RegularInstance(1, 1, 1, 1)).matrix.rows == ("1",)
+        assert rec_regular_with_plan(RegularInstance(4, 1, 0, 0)).matrix.rows == ("0000",)
 
     def test_rejects_infeasible(self):
         with pytest.raises(ValueError):
-            rec_regular(RegularInstance(6, 18, 2, 6))
+            rec_regular_with_plan(RegularInstance(6, 18, 2, 6))
         with pytest.raises(ValueError):
-            rec_regular(RegularInstance(4, 3, 2, 2))
+            rec_regular_with_plan(RegularInstance(4, 3, 2, 2))
 
 
 class TestConstructionInvariantError:
@@ -104,15 +102,24 @@ class TestConstructionInvariantError:
         monkeypatch.setattr(reconstruct, "gen_lyndon", lambda n, d: iter(()))
         inst = RegularInstance(6, 15, 2, 5)
         with pytest.raises(ConstructionInvariantError) as info:
-            rec_regular(inst)
+            rec_regular_with_plan(inst)
         assert (info.value.instance, info.value.divisor) == (inst, 1)
         assert str(info.value) == f"ran out of Lyndon words at divisor level 1 of {inst}"
 
     def test_failure_after_the_levels_has_no_level(self, monkeypatch):
-        monkeypatch.setattr(BinaryMatrix, "col_sums", lambda self: ())
+        plan = reconstruct._plan_span_one
+
+        def misplaced_deletion(inst):
+            # The cut coset block ('000000111', [6]) keeps shift 0 in place of
+            # shift 6: as many distinct rows, but the first columns lowered.
+            lifted, segments, levels = plan(inst)
+            segments[1] = (segments[1][0], [0])
+            return lifted, segments, levels
+
+        monkeypatch.setattr(reconstruct, "_plan_span_one", misplaced_deletion)
         inst = SpanOneInstance(9, 3, 5, 3, 6)
         with pytest.raises(ConstructionInvariantError) as info:
-            rec_span_one(inst)
+            rec_span_one_with_plan(inst)
         assert (info.value.instance, info.value.divisor) == (inst, None)
         assert str(info.value) == f"column sums missed the target vector of {inst}"
 
@@ -120,7 +127,7 @@ class TestConstructionInvariantError:
 class TestRecRegularSweep:
     def test_all_feasible_instances_verify(self):
         for inst in feasible_regular_instances(10):
-            matrix = rec_regular(inst)
+            matrix = rec_regular_with_plan(inst).matrix
             assert verify(matrix, inst).ok, inst
             if inst.h:
                 # realize reads its edges off the plan, not off these rows.
@@ -129,7 +136,7 @@ class TestRecRegularSweep:
 
     def test_determinism(self):
         inst = RegularInstance(10, 36, 5, 18)
-        assert rec_regular(inst) == rec_regular(inst)
+        assert rec_regular_with_plan(inst).matrix == rec_regular_with_plan(inst).matrix
 
     def test_at_most_one_partial_fill_level(self):
         for inst in feasible_regular_instances(9):
@@ -184,9 +191,9 @@ class TestRecSpanOneWorkedExamples:
 
     def test_rejects_infeasible(self):
         with pytest.raises(ValueError):
-            rec_span_one(SpanOneInstance(4, 2, 3, 3, 1))
+            rec_span_one_with_plan(SpanOneInstance(4, 2, 3, 3, 1))
         with pytest.raises(ValueError):
-            rec_span_one(SpanOneInstance(4, 2, 4, 2, 2))
+            rec_span_one_with_plan(SpanOneInstance(4, 2, 4, 2, 2))
 
 
 class TestRecSpanOneSweep:
@@ -216,13 +223,13 @@ class TestRecSpanOneSweep:
 
     def test_determinism(self):
         inst = SpanOneInstance(8, 3, 6, 5, 3)
-        assert rec_span_one(inst) == rec_span_one(inst)
+        assert rec_span_one_with_plan(inst).matrix == rec_span_one_with_plan(inst).matrix
 
 
 class TestVerify:
     def test_accepts_construction_output(self):
         inst = RegularInstance(6, 15, 2, 5)
-        assert verify(rec_regular(inst), inst).ok
+        assert verify(rec_regular_with_plan(inst).matrix, inst).ok
 
     def test_reports_first_failing_property(self):
         inst = RegularInstance(4, 2, 2, 1)
@@ -233,7 +240,7 @@ class TestVerify:
 
     def test_flipped_bit_is_caught(self):
         inst = RegularInstance(6, 15, 2, 5)
-        rows = list(rec_regular(inst).rows)
+        rows = list(rec_regular_with_plan(inst).matrix.rows)
         rows[3] = rows[3].replace("1", "0", 1)
         assert verify(BinaryMatrix(tuple(rows), 6), inst).problem == "row sum"
 
