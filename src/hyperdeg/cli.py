@@ -9,6 +9,7 @@ Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -76,7 +77,7 @@ def _add_degree_source(parser: argparse.ArgumentParser) -> None:
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            handle.writelines((text, "\n"))
     else:
         print(text)
 
@@ -150,7 +151,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _read_matrix_lines(path: str) -> BinaryMatrix:
     with open(path, encoding="utf-8") as handle:
-        rows = [line.strip() for line in handle if line.strip()]
+        rows = [line for line in map(str.strip, handle) if line]
     if not rows:
         raise ValueError(f"matrix file {path} is empty")
     return BinaryMatrix(tuple(rows), len(rows[0]))
@@ -181,6 +182,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if result.exists else EXIT_NEGATIVE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperdeg",
@@ -195,19 +197,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True, help="word length")
     p_count.add_argument("--h", type=int, required=True, help="word density")
     p_count.add_argument("--kind", choices=("lyndon", "necklace"), required=True)
-    p_count.set_defaults(func=cmd_count)
 
     p_gen = sub.add_parser("gen", help="generate necklaces or Lyndon words")
     p_gen.add_argument("--n", type=int, required=True, help="word length")
     p_gen.add_argument("--h", type=int, required=True, help="word density")
     p_gen.add_argument("--kind", choices=("lyndon", "necklace"), required=True)
     p_gen.add_argument("--limit", type=int, help="stop after this many words")
-    p_gen.set_defaults(func=cmd_gen)
 
     p_check = sub.add_parser("check", help="feasibility of a degree sequence")
     p_check.add_argument("--h", type=int, required=True, help="edge size / row sum")
     _add_degree_source(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     p_rec = sub.add_parser("reconstruct", help="build a witness incidence matrix")
     p_rec.add_argument("--h", type=int, required=True, help="edge size / row sum")
@@ -216,13 +215,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("lines", "csv", "json", "edges"), default="lines"
     )
     p_rec.add_argument("--output", help="write to this path instead of stdout")
-    p_rec.set_defaults(func=cmd_reconstruct)
 
     p_ver = sub.add_parser("verify", help="check a matrix against a degree sequence")
     p_ver.add_argument("--h", type=int, required=True, help="edge size / row sum")
     _add_degree_source(p_ver)
     p_ver.add_argument("--matrix", required=True, help="matrix file, one row per line")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_bip = sub.add_parser(
         "bipartite", help="twin-free k-regular bipartite biadjacency matrix"
@@ -233,14 +230,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("lines", "csv", "json", "edges"), default="lines"
     )
     p_bip.add_argument("--output", help="write to this path instead of stdout")
-    p_bip.set_defaults(func=cmd_bipartite)
 
     p_oracle = sub.add_parser(
         "oracle", help="small-instance exhaustive existence search"
     )
     p_oracle.add_argument("--h", type=int, required=True, help="edge size / row sum")
     _add_degree_source(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
 
@@ -248,7 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, not bound in the cached parser: a replaced cmd_* is seen.
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -75,7 +75,7 @@ class Hypergraph:
         return len(self.edges[0]) if self.edges else 0
 
     def to_edges_text(self) -> str:
-        return "\n".join(" ".join(str(v) for v in edge) for edge in self.edges)
+        return "\n".join(" ".join(map(str, edge)) for edge in self.edges)
 
     def to_json_dict(self, edge_size: int | None = None) -> dict:
         h = self.edge_size or (edge_size or 0)

@@ -78,7 +78,9 @@ def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResul
     if total % h:
         raise ValueError("column sums are inconsistent with the row sum")
     m = total // h
-    candidates = _candidate_rows(n, h)
+    # With h > n no row fits, and combinations(range(n), h) would first
+    # allocate h indices: a huge h is a MemoryError, not an answer.
+    candidates = _candidate_rows(n, h) if h <= n else []
     if m > len(candidates):
         return OracleResult(False)
 

@@ -127,13 +127,19 @@ class RegularReconstruction(_RendersRows):
 class SpanOneReconstruction(_RendersRows):
     instance: SpanOneInstance
     edges: _Edges
-    lifted_ones: int  # total ones of the intermediate homogeneous instance
-    lifted_rows: int  # its row count
+    lifted_rows: int  # row count of the intermediate homogeneous instance
     lifted_degree: int  # its homogeneous column sum
     rows_deleted: int
-    column_order: tuple[int, ...]
     levels: tuple[LevelPlan, ...]  # plan of the intermediate build
     _segments: list[_Segment] = field(repr=False, compare=False)
+
+    @property
+    def lifted_ones(self) -> int:
+        return self.lifted_rows * self.instance.h
+
+    @property
+    def column_order(self) -> tuple[int, ...]:
+        return tuple(range(self.instance.n))
 
     def plan_json(self) -> dict:
         return {
@@ -235,11 +241,9 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
     return SpanOneReconstruction(
         instance=inst,
         edges=edges,
-        lifted_ones=lifted.m * lifted.h,
         lifted_rows=lifted.m,
         lifted_degree=lifted.v,
         rows_deleted=lifted.m - inst.m,
-        column_order=tuple(range(inst.n)),
         levels=levels,
         _segments=segments,
     )

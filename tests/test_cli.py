@@ -1,7 +1,11 @@
+import contextlib
 import inspect
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperdeg import cli, reconstruct
 from hyperdeg.cli import main
@@ -11,6 +15,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def call(*argv):
+    """(exit code, stdout, stderr) of main(argv); a parser exit is its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestCount:
@@ -238,6 +253,14 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "--h", "2", "--degrees", "1,1,1,1,1,1,1,1,1")
         assert code == 2 and "error" in err
 
+    def test_edge_size_above_column_count_is_infeasible(self, capsys):
+        # Listing the candidate rows would first allocate h indices: 8 PB here.
+        code, out, err = run(
+            capsys, "oracle", "--h", "1000000000000000", "--n", "3", "--v", "10000000000000000"
+        )
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"exists": False, "witness": None}
+
 
 class TestInternalErrors:
     def test_recursion_error_is_internal_not_infeasible(self, capsys):
@@ -307,6 +330,143 @@ class TestCallDepth:
         code, _, _ = run(capsys, "reconstruct", *source, "--format", fmt)
         assert code == 0
         assert depths and set(depths) == {frames}
+
+
+class TestSharedParser:
+    """main builds its parser once per process; no call may see another's
+    arguments."""
+
+    def test_calls_in_one_process_match_fresh_calls(self, tmp_path):
+        edges_path, rows_path = tmp_path / "witness.edges", tmp_path / "witness.lines"
+        instance = ("--h", "2", "--n", "6", "--v", "5")
+        cli._build_parser.cache_clear()
+
+        write = call("reconstruct", *instance, "--format", "edges", "--output", str(edges_path))
+        written = edges_path.read_text()
+        bare = call("reconstruct", *instance)
+        edges = [tuple(map(int, line.split())) for line in written.splitlines()]
+        rows_path.write_text(
+            "".join("".join("1" if j in edge else "0" for j in range(1, 7)) + "\n" for edge in edges)
+        )
+        read = call("verify", *instance, "--matrix", str(rows_path))
+        usage = call("check", "--h", "two", "--n", "6", "--v", "5")
+        good = call("check", *instance)
+        assert cli._build_parser.cache_info().misses == 1
+
+        assert write == (0, "", "") and len(edges) == 15
+        assert bare[0] == 0 and bare[1] == rows_path.read_text()
+        assert read == (0, '{"valid": true, "problem": null}\n', "")
+        assert usage[0] == 2 and "invalid int value: 'two'" in usage[2]
+        assert good[0] == 0 and json.loads(good[1])["feasible"] is True
+
+        cli._build_parser.cache_clear()
+        assert call("reconstruct", *instance, "--format", "edges", "--output", str(edges_path)) == write
+        assert edges_path.read_text() == written
+        for argv, shared in [
+            (("reconstruct", *instance), bare),
+            (("verify", *instance, "--matrix", str(rows_path)), read),
+            (("check", "--h", "two", "--n", "6", "--v", "5"), usage),
+            (("check", *instance), good),
+        ]:
+            cli._build_parser.cache_clear()
+            assert call(*argv) == shared, argv
+
+    def test_help_lists_every_subcommand(self):
+        call("count", "--n", "6", "--h", "2", "--kind", "lyndon")
+        code, out, _ = call("--help")
+        assert code == 0
+        assert "{count,gen,check,reconstruct,verify,bipartite,oracle}" in out
+
+
+# Sizes are bounded where they size a construction or a search; only the
+# edge size may be huge, since h > n is answered before anything is built.
+_SMALL = st.integers(-64, 64)
+_MALFORMED = st.sampled_from(["", " ", "x", "1.5", "1e3", "0x10", "3 4", "--", "\u0663\u0660"])
+
+
+@st.composite
+def _number(draw, ints):
+    """An integer, or one time in eight text that is none."""
+    return draw(_MALFORMED) if draw(st.integers(0, 7)) == 5 else str(draw(ints))
+
+
+_EDGE_SIZE = _number(st.one_of(st.integers(1, 6), _SMALL, st.integers(-(10**30), 10**30)))
+_DEGREE_LINES = st.one_of(
+    # v and v-1 in any order: the regular and span-one classes, often unsorted.
+    st.tuples(st.integers(0, 64), st.integers(0, 32), st.integers(0, 32)).flatmap(
+        lambda t: st.permutations([str(t[0])] * t[1] + [str(t[0] - 1)] * t[2])
+    ),
+    st.lists(_number(st.integers(-2, 64)), max_size=64),
+    st.sampled_from([[], [""], ["  ", "\t"], ["1 2", "3"], ["4,4"]]),
+)
+_FILE_BYTES = st.one_of(
+    _DEGREE_LINES.map(lambda lines: "\n".join(lines).encode()),
+    st.sampled_from([b"\xff\xfe\n", b"1\n\x80\n"]),
+)
+_MATRIX_BYTES = st.one_of(
+    st.lists(st.text("01", max_size=64), max_size=16).map(lambda rows: "\n".join(rows).encode()),
+    st.sampled_from([b"", b"\n\n", b"01 10\n", b"0110\n01\n", b"\xff01\n"]),
+)
+
+
+@st.composite
+def _argv(draw):
+    """Arguments of one of the seven subcommands, with malformed, negative,
+    huge or empty values, and the bytes of the files they name: empty,
+    blank, split or not UTF-8."""
+    command = draw(st.sampled_from(["count", "gen", "check", "reconstruct", "verify", "bipartite", "oracle"]))
+    if command in ("count", "gen"):
+        argv = [command, "--n", draw(_number(_SMALL)), "--h", draw(_EDGE_SIZE)]
+        argv += ["--kind", draw(st.sampled_from(["lyndon", "necklace"]))]
+        return argv + (["--limit", str(draw(st.integers(-2, 5)))] if command == "gen" else []), {}
+    if command == "bipartite":
+        argv = [command, "--n", draw(_number(_SMALL)), "--k", draw(_number(_SMALL))]
+        return argv + ["--format", draw(st.sampled_from(["lines", "csv", "json", "edges"]))], {}
+    # The exhaustive oracle takes seconds on some 7- and 8-column inputs.
+    width = _SMALL.filter(lambda n: n not in (7, 8)) if command == "oracle" else _SMALL
+    lines = _DEGREE_LINES.filter(lambda d: len(d) not in (7, 8)) if command == "oracle" else _DEGREE_LINES
+    source = draw(st.sampled_from(["n-v", "degrees", "file", "none"]))
+    argv, files = [command, "--h", draw(_EDGE_SIZE)], {}
+    if source == "n-v":
+        argv += ["--n", draw(_number(width)), "--v", draw(_number(_SMALL))]
+    elif source == "degrees":
+        argv += ["--degrees", ",".join(draw(lines))]
+    elif source == "file":
+        files["degrees"] = draw(_FILE_BYTES)
+        argv += ["--degrees-file", "degrees"]
+    if command == "reconstruct":
+        argv += ["--format", draw(st.sampled_from(["lines", "csv", "json", "edges"]))]
+    if command == "verify":
+        files["matrix"] = draw(_MATRIX_BYTES)
+        argv += ["--matrix", "matrix"]
+    return argv, files
+
+
+class TestArgvFuzz:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("argv")
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=_argv())
+    @example(case=(["oracle", "--h", str(10**30), "--n", "3", "--v", "0"], {}))
+    def test_bad_input_exits_1_or_2_with_one_line(self, workdir, case):
+        argv, files = case
+        for name, data in files.items():
+            (workdir / name).write_bytes(data)
+        argv = [str(workdir / arg) if arg in files else arg for arg in argv]
+        code, _, err = call(*argv)
+        lines = [line for line in err.splitlines() if line != "note: degrees sorted nonincreasingly"]
+        assert code in (0, 1, 2), (argv, err)
+        if code == 0:
+            assert lines == [], (argv, err)
+        elif lines and lines[-1].startswith("hyperdeg"):
+            # argparse rejected the arguments: usage lines, then one error line.
+            assert code == 2 and ": error: " in lines[-1], (argv, err)
+        elif code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+        else:
+            assert len(lines) <= 1 and "Traceback" not in err, (argv, err)
 
 
 class TestUsageErrors:

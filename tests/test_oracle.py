@@ -1,7 +1,7 @@
 import pytest
 
 from hyperdeg.feasibility import RegularInstance, SpanOneInstance
-from hyperdeg.oracle import exists_any_matrix, exists_distinct_rows
+from hyperdeg.oracle import OracleResult, exists_any_matrix, exists_distinct_rows
 from hyperdeg.reconstruct import verify
 from hyperdeg.words import BinaryMatrix
 
@@ -32,6 +32,11 @@ class TestExistsDistinctRows:
         span = SpanOneInstance(6, 3, 2, 3, 3)
         result = exists_distinct_rows(6, 3, span.degree_vector())
         assert verify(result.witness, span).ok
+
+    def test_edge_size_above_column_count(self):
+        # Listing the candidate rows would first allocate h indices: 8 PB here.
+        assert exists_distinct_rows(3, 10**15, (10**16,) * 3) == OracleResult(False)
+        assert exists_distinct_rows(3, 10**30, (0, 0, 0)).witness == BinaryMatrix((), 3)
 
     def test_deterministic(self):
         a = exists_distinct_rows(5, 2, (2, 2, 2, 2, 2))
