@@ -9,10 +9,13 @@ Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from typing import TextIO
 
 from .feasibility import RegularInstance, SpanOneInstance, check_degree_sequence
 from .hypergraphs import Hypergraph, from_incidence
@@ -33,18 +36,18 @@ EXIT_INTERNAL = 3
 
 
 def _parse_degrees_text(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = list(filter(None, map(str.strip, text.split(","))))
     if not parts:
         raise ValueError("no degrees given")
-    return tuple(int(p) for p in parts)
+    return tuple(map(int, parts))
 
 
 def _read_degrees_file(path: str) -> tuple[int, ...]:
     with open(path, encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+        lines = list(filter(None, map(str.strip, handle)))
     if not lines:
         raise ValueError(f"degree file {path} is empty")
-    return tuple(int(line) for line in lines)
+    return tuple(map(int, lines))
 
 
 def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
@@ -74,27 +77,44 @@ def _add_degree_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--v", type=int, help="uniform degree (with --n)")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.writelines((text, "\n"))
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The file at `path`, opened for writing, or stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     else:
-        print(text)
+        yield sys.stdout
 
 
-def _render_matrix(
-    matrix: BinaryMatrix, fmt: str, h: int, plan: dict | None = None
-) -> str:
-    if fmt == "lines":
-        return matrix.to_lines()
-    if fmt == "csv":
-        return matrix.to_csv()
-    if fmt == "edges":
-        return from_incidence(matrix).to_edges_text()
-    payload = {"n": matrix.ncols, "m": matrix.nrows, "h": h, "rows": list(matrix.rows)}
-    if plan is not None:
-        payload["plan"] = plan
-    return json.dumps(payload)
+# Per matrix format: the text of one row, and what separates two rows.
+_ROW_TEXT = {"lines": (str, "\n"), "csv": (",".join, "\n"), "json": ('"{}"'.format, ", ")}
+
+
+def _write_rows(
+    out: TextIO,
+    blocks: Iterable[Sequence[str]],
+    fmt: str,
+    n: int,
+    m: int,
+    h: int,
+    plan: dict | None = None,
+) -> None:
+    """Write m rows of n '0'/'1' symbols, given in nonempty blocks, as `fmt`
+    (lines, csv or json) and a closing newline. Only one block is held as
+    text at a time; the bytes are those of the whole matrix rendered at once,
+    so no rows give a lone newline."""
+    row_text, sep = _ROW_TEXT[fmt]
+    if fmt == "json":
+        out.write(json.dumps({"n": n, "m": m, "h": h})[:-1] + ', "rows": [')
+    between = ""
+    for block in blocks:
+        out.write(between)
+        out.write(sep.join(map(row_text, block)))
+        between = sep
+    if fmt == "json":
+        out.write("]" + ("" if plan is None else f', "plan": {json.dumps(plan)}') + "}")
+    out.write("\n")
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -141,17 +161,19 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     else:
         assert isinstance(check.instance, SpanOneInstance)
         built = rec_span_one_with_plan(check.instance)
-    if args.format == "edges":
-        text = Hypergraph._trusted(check.instance.n, built.edges).to_edges_text()
-    else:
-        text = _render_matrix(built.matrix, args.format, args.h, built.plan_json())
-    _emit(text, args.output)
+    inst = check.instance
+    with _output(args.output) as out:
+        if args.format == "edges":
+            out.writelines((Hypergraph._trusted(inst.n, built.edges).to_edges_text(), "\n"))
+        else:
+            # Rows straight from the plan whose edges were just checked.
+            _write_rows(out, built.row_blocks(), args.format, inst.n, inst.m, inst.h, built.plan_json())
     return EXIT_OK
 
 
 def _read_matrix_lines(path: str) -> BinaryMatrix:
     with open(path, encoding="utf-8") as handle:
-        rows = [line for line in map(str.strip, handle) if line]
+        rows = list(filter(None, map(str.strip, handle)))
     if not rows:
         raise ValueError(f"matrix file {path} is empty")
     return BinaryMatrix(tuple(rows), len(rows[0]))
@@ -170,7 +192,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bipartite(args: argparse.Namespace) -> int:
     matrix = twin_free_bipartite(args.n, args.k)
-    _emit(_render_matrix(matrix, args.format, args.k), args.output)
+    with _output(args.output) as out:
+        if args.format == "edges":
+            out.writelines((from_incidence(matrix).to_edges_text(), "\n"))
+        else:
+            _write_rows(out, [matrix.rows], args.format, matrix.ncols, matrix.nrows, args.k)
     return EXIT_OK
 
 
@@ -240,8 +266,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A value that starts like a negative number; argparse takes it for an option.
+_MINUS_DIGIT = re.compile(r"-\d")
+
+
+def _attach_degree_values(argv: Sequence[str]) -> list[str]:
+    """argv with `--degrees -<digit>...` passed as `--degrees=-<digit>...`, so
+    that a list such as -1,2 reaches the degree check instead of argparse
+    reporting `--degrees` without an argument."""
+    attached: list[str] = []
+    for arg in argv:
+        if attached and attached[-1] == "--degrees" and _MINUS_DIGIT.match(arg):
+            attached[-1] = f"--degrees={arg}"
+        else:
+            attached.append(arg)
+    return attached
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _attach_degree_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         # Looked up per call, not bound in the cached parser: a replaced cmd_* is seen.
         return globals()[f"cmd_{args.command}"](args)

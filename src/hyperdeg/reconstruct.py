@@ -16,7 +16,15 @@ each a word tiled to length n and the left rotations of it that are rows,
 plus one `LevelPlan` per level. `rec_*_with_plan`, the one construction call
 per degree class, reads each row's edge (the one-positions of its word moved
 by the shift) off the plan and checks the edges once; the '0'/'1' rows are
-rendered only when a reconstruction's `matrix` is asked for.
+rendered only when a reconstruction's `matrix` or `row_blocks` is asked for.
+
+Edges are emitted in runs. Across a range of shifts, the window of a word's
+one-positions that makes up a row moves only when the shift passes the next
+one-position; in between, each edge is the previous one moved down by one.
+A run of at least `_RUN` shifts is emitted as `zip` over one descending range
+per vertex of its window, so the tuples are built in C; shorter runs, coset
+blocks and span-one edits (whose shifts are lists) and the empty word of
+h = 0 are emitted row by row.
 
 The span-one build lifts the instance to the smallest strictly larger
 homogeneous one whose total fits the divisibility constraints, plans that,
@@ -29,10 +37,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, repeat, starmap
 from operator import itemgetter
 
 from .feasibility import (
@@ -61,6 +69,10 @@ __all__ = [
 # rotations of it that are rows, in row order.
 _Segment = tuple[str, Sequence[int]]
 _Edges = tuple[tuple[int, ...], ...]
+
+# Shortest run of shifts that `_edges` emits through `zip`: below it, the
+# per-row comprehension was faster in a microbenchmark over run lengths.
+_RUN = 4
 
 
 class ConstructionInvariantError(RuntimeError):
@@ -105,11 +117,18 @@ class LevelPlan:
 
 
 class _RendersRows:
-    """The `matrix` of a reconstruction, rendered from its plan on first use."""
+    """The rows of a reconstruction, rendered from its plan: `matrix` on first
+    use, or `row_blocks` one segment at a time."""
 
     @cached_property
     def matrix(self) -> BinaryMatrix:
         return BinaryMatrix(_rows(self._segments), self.instance.n)
+
+    def row_blocks(self) -> Iterator[tuple[str, ...]]:
+        """The '0'/'1' rows of `matrix`, one plan segment (a rotation class,
+        or a coset block) at a time, without building or checking `matrix`:
+        the construction has checked the edges these rows spell."""
+        return starmap(_rotations, self._segments)
 
 
 @dataclass(frozen=True)
@@ -294,13 +313,20 @@ def _plan_span_one(
 
 def _rows(segments: list[_Segment]) -> tuple[str, ...]:
     """The plan's rows as '0'/'1' strings, in row order."""
-    return tuple(chain.from_iterable(_rotations(word, shifts) for word, shifts in segments))
+    return tuple(chain.from_iterable(starmap(_rotations, segments)))
 
 
 def _edges(segments: list[_Segment]) -> _Edges:
     """Each row's sorted 1-based one-positions, in row order, without
     building the row: the row of shift k holds the ones at positions k+1 ..
-    k+n of the doubled word, moved down by k."""
+    k+n of the doubled word, moved down by k.
+
+    A range of shifts is walked as runs over which that window stays put:
+    the window of shift k starts after the ones left of position k, so it
+    moves only at the next one-position. A run of at least `_RUN` rows is
+    emitted by `zip` over one descending range per window vertex, which
+    builds the tuples in C; shorter runs, lists of shifts and the empty
+    word of h = 0 are emitted row by row."""
     edges: list[tuple[int, ...]] = []
     for word, shifts in segments:
         n = len(word)
@@ -311,9 +337,22 @@ def _edges(segments: list[_Segment]) -> _Edges:
         # window of shift k begins in `doubled`; every shift is below n.
         start = list(accumulate(is_one, initial=0))
         h = len(ones)
-        edges.extend(
-            [tuple([p - k for p in doubled[start[k] : start[k] + h]]) for k in shifts]
-        )
+        if not (h and isinstance(shifts, range) and shifts.step == 1):
+            edges.extend(
+                [tuple([p - k for p in doubled[start[k] : start[k] + h]]) for k in shifts]
+            )
+            continue
+        k, stop = shifts.start, shifts.stop
+        while k < stop:
+            s = start[k]
+            # The window moves on at the next one-position, doubled[s].
+            end = min(doubled[s], stop)
+            window = doubled[s : s + h]
+            if end - k >= _RUN:
+                edges.extend(zip(*[range(x - k, x - end, -1) for x in window]))
+            else:
+                edges.extend([tuple([p - j for p in window]) for j in range(k, end)])
+            k = end
     return tuple(edges)
 
 
@@ -362,7 +401,7 @@ def verify(
         return VerifyResult(False, "shape")
     if len(set(matrix.rows)) != matrix.nrows:
         return VerifyResult(False, "duplicate rows")
-    if any(s != instance.h for s in matrix.row_sums()):
+    if set(map(str.count, matrix.rows, repeat("1"))) - {instance.h}:
         return VerifyResult(False, "row sum")
     if tuple(sorted(matrix.col_sums(), reverse=True)) != instance.degree_vector():
         return VerifyResult(False, "column sum")

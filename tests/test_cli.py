@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 
 from hyperdeg import cli, reconstruct
 from hyperdeg.cli import main
+from hyperdeg.feasibility import RegularInstance
+from hyperdeg.reconstruct import rec_regular_with_plan, rec_span_one_with_plan, twin_free_bipartite
+from test_reconstruct import feasible_regular_instances, feasible_span_one_instances
 
 
 def run(capsys, *argv):
@@ -189,6 +193,78 @@ class TestReconstruct:
     def test_unsupported_exit(self, capsys):
         code, _, err = run(capsys, "reconstruct", "--h", "2", "--degrees", "4,2,2")
         assert code == 1 and "span" in err
+
+
+def _renderings(matrix, h, plan=None):
+    """Each matrix format of a checked matrix, rendered whole, with the
+    closing newline: the reference for the rows the CLI writes."""
+    payload = {"n": matrix.ncols, "m": matrix.nrows, "h": h, "rows": list(matrix.rows)}
+    if plan is not None:
+        payload["plan"] = plan
+    return {
+        "lines": matrix.to_lines() + "\n",
+        "csv": matrix.to_csv() + "\n",
+        "json": json.dumps(payload) + "\n",
+    }
+
+
+class TestRowsFromThePlan:
+    """The matrix formats are written from the checked plan, a segment at a
+    time; their bytes are those of the construction's matrix."""
+
+    def test_every_small_instance_matches_its_matrix(self, tmp_path):
+        path = tmp_path / "rows"
+        instances = [inst for inst in feasible_regular_instances(10) if inst.h]
+        instances += feasible_span_one_instances(10)
+        assert any(inst.m == 0 for inst in instances)  # no rows: a lone newline
+        for inst in instances:
+            if isinstance(inst, RegularInstance):
+                built = rec_regular_with_plan(inst)
+                source = ("--n", str(inst.n), "--v", str(inst.v))
+            else:
+                built = rec_span_one_with_plan(inst)
+                source = ("--degrees", ",".join(map(str, inst.degree_vector())))
+            expected = _renderings(built.matrix, inst.h, built.plan_json())
+            for fmt, text in expected.items():
+                argv = ("reconstruct", "--h", str(inst.h), *source, "--format", fmt)
+                assert call(*argv) == (0, text, ""), argv
+                assert call(*argv, "--output", str(path)) == (0, "", ""), argv
+                assert path.read_text(encoding="utf-8") == text, argv
+
+    def test_bipartite_shares_the_row_writer(self, tmp_path):
+        path = tmp_path / "rows"
+        for n in range(2, 9):
+            for k in range(1, n):
+                for fmt, text in _renderings(twin_free_bipartite(n, k), k).items():
+                    argv = ("bipartite", "--n", str(n), "--k", str(k), "--format", fmt)
+                    assert call(*argv) == (0, text, ""), argv
+                    assert call(*argv, "--output", str(path)) == (0, "", ""), argv
+                    assert path.read_text(encoding="utf-8") == text, argv
+
+    def test_lines_output_peaks_below_its_file_size(self, tmp_path):
+        # The rows are never held whole: the heap peak (edges, their check,
+        # one class of rows) stays below the 6.9 MB the file takes.
+        path = tmp_path / "rows"
+        argv = ["reconstruct", "--h", "3", "--n", "600", "--v", "60", "--format", "lines"]
+        call("check", "--h", "2", "--n", "4", "--v", "1")  # the parser is built once per process
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--output", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < path.stat().st_size == 12_000 * 601
+
+
+class TestNegativeDegrees:
+    @pytest.mark.parametrize("value", ["-1,2", "-1", "2,-1", "-0,-3"])
+    def test_reach_the_degree_check(self, value):
+        # argparse alone takes "-1,2" for an option and prints its usage.
+        code, out, err = call("check", "--h", "2", "--degrees", value)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "error: degrees must be nonnegative"
+        assert call("check", "--h", "2", f"--degrees={value}") == (code, out, err)
 
 
 class TestVerifyCommand:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperdeg import reconstruct
 from hyperdeg.feasibility import RegularInstance, SpanOneInstance, check_regular, check_span_one
@@ -275,3 +277,47 @@ class TestTwinFreeBipartite:
                 assert set(matrix.col_sums()) == {k}
                 assert len(set(matrix.rows)) == n
                 assert len(set(matrix.transpose().rows)) == n
+
+
+def _naive_edges(segments):
+    """Each row's one-positions, read off the rotated string itself."""
+    return tuple(
+        tuple(i for i, symbol in enumerate(word[k:] + word[:k], 1) if symbol == "1")
+        for word, shifts in segments
+        for k in shifts
+    )
+
+
+@st.composite
+def _segment(draw):
+    """A word of length <= 60 at any density, tiled up to three times, with
+    shifts given as the full range, a range from a later start, or a list in
+    any order."""
+    length = draw(st.integers(1, 60))
+    density = draw(st.integers(0, length))
+    ones = set(draw(st.permutations(range(length)))[:density])
+    word = "".join("1" if i in ones else "0" for i in range(length)) * draw(st.integers(1, 3))
+    n = len(word)
+    kind = draw(st.sampled_from(["full", "from", "list"]))
+    if kind == "full":
+        return word, range(n)
+    if kind == "from":
+        first = draw(st.integers(1, n))
+        return word, range(first, draw(st.integers(first, n)))
+    return word, draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+
+
+_RUN = reconstruct._RUN
+
+
+class TestEdgesFromPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(segments=st.lists(_segment(), max_size=3))
+    # Runs one row shorter than the zip threshold, exactly at it, and longer.
+    @example(segments=[("0" * (r - 1) + "1", range(r)) for r in (_RUN - 1, _RUN, _RUN + 1)])
+    @example(segments=[("0" * (_RUN - 1) + "1" + "0" * _RUN + "11", range(2, 2 * _RUN + 2))])
+    @example(segments=[("0000000", range(7)), ("0000000", [3, 1])])  # h = 0
+    @example(segments=[("11111", range(5)), ("11111", range(1, 3))])  # h = n
+    @example(segments=[("000111" * 3, [0, 3, 6]), ("001" * 9, range(3))])
+    def test_edges_are_the_one_positions_of_each_rotated_row(self, segments):
+        assert reconstruct._edges(segments) == _naive_edges(segments)
