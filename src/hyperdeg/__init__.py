@@ -6,6 +6,9 @@ h-uniform hypergraph without parallel edges, and constructs a witness with
 pairwise distinct edges from fixed-density necklaces and Lyndon words, in one
 checked call per degree class. Everything is exact integer arithmetic;
 '0'/'1' strings appear only where a matrix is asked for.
+
+The top level holds the documented calls and the types they take or return.
+The word, necklace, feasibility and oracle helpers live in their submodules.
 """
 
 from .feasibility import (
@@ -14,12 +17,6 @@ from .feasibility import (
     RegularInstance,
     SpanOneInstance,
     check_degree_sequence,
-    check_regular,
-    check_span_one,
-    classify_degrees,
-    conjugate,
-    erdos_gallai_check,
-    gale_ryser_check,
 )
 from .hypergraphs import (
     Hypergraph,
@@ -27,19 +24,8 @@ from .hypergraphs import (
     degree_sequence,
     from_incidence,
     realize,
-    to_incidence,
 )
-from .necklaces import (
-    binomial,
-    common_divisors,
-    count_lyndon,
-    count_necklaces,
-    euler_phi,
-    gen_lyndon,
-    gen_necklaces,
-    mobius,
-)
-from .oracle import OracleResult, exists_any_matrix, exists_distinct_rows
+from .necklaces import count_lyndon, gen_lyndon
 from .reconstruct import (
     ConstructionInvariantError,
     LevelPlan,
@@ -51,16 +37,7 @@ from .reconstruct import (
     twin_free_bipartite,
     verify,
 )
-from .words import (
-    BinaryMatrix,
-    block_submatrix,
-    canonical,
-    cyclic_shift,
-    density,
-    is_lyndon,
-    period,
-    shift_matrix,
-)
+from .words import BinaryMatrix, block_submatrix, shift_matrix
 
 __version__ = "0.1.0"
 
@@ -71,43 +48,22 @@ __all__ = [
     "Feasibility",
     "Hypergraph",
     "LevelPlan",
-    "OracleResult",
     "RealizationResult",
     "RegularInstance",
     "RegularReconstruction",
     "SpanOneInstance",
     "SpanOneReconstruction",
     "VerifyResult",
-    "binomial",
     "block_submatrix",
-    "canonical",
     "check_degree_sequence",
-    "check_regular",
-    "check_span_one",
-    "classify_degrees",
-    "common_divisors",
-    "conjugate",
     "count_lyndon",
-    "count_necklaces",
-    "cyclic_shift",
     "degree_sequence",
-    "density",
-    "erdos_gallai_check",
-    "euler_phi",
-    "exists_any_matrix",
-    "exists_distinct_rows",
     "from_incidence",
-    "gale_ryser_check",
     "gen_lyndon",
-    "gen_necklaces",
-    "is_lyndon",
-    "mobius",
-    "period",
     "realize",
     "rec_regular_with_plan",
     "rec_span_one_with_plan",
     "shift_matrix",
-    "to_incidence",
     "twin_free_bipartite",
     "verify",
 ]

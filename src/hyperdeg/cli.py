@@ -18,13 +18,15 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import TextIO
 
 from .feasibility import RegularInstance, SpanOneInstance, check_degree_sequence
-from .hypergraphs import Hypergraph, from_incidence
+from .hypergraphs import Hypergraph
 from .necklaces import count_lyndon, count_necklaces, gen_lyndon, gen_necklaces
 from .oracle import exists_distinct_rows
 from .reconstruct import (
+    RegularReconstruction,
+    SpanOneReconstruction,
+    _bipartite,
     rec_regular_with_plan,
     rec_span_one_with_plan,
-    twin_free_bipartite,
     verify,
 )
 from .words import BinaryMatrix
@@ -117,6 +119,22 @@ def _write_rows(
     out.write("\n")
 
 
+def _write_built(
+    path: str | None,
+    built: RegularReconstruction | SpanOneReconstruction,
+    fmt: str,
+    plan: dict | None,
+) -> None:
+    """Write a checked construction as `fmt`: its edges, or its rows straight
+    from the plan whose edges were checked."""
+    inst = built.instance
+    with _output(path) as out:
+        if fmt == "edges":
+            out.writelines((Hypergraph._trusted(inst.n, built.edges).to_edges_text(), "\n"))
+        else:
+            _write_rows(out, built.row_blocks(), fmt, inst.n, inst.m, inst.h, plan)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     counter = count_lyndon if args.kind == "lyndon" else count_necklaces
     print(counter(args.n, args.h))
@@ -161,22 +179,16 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     else:
         assert isinstance(check.instance, SpanOneInstance)
         built = rec_span_one_with_plan(check.instance)
-    inst = check.instance
-    with _output(args.output) as out:
-        if args.format == "edges":
-            out.writelines((Hypergraph._trusted(inst.n, built.edges).to_edges_text(), "\n"))
-        else:
-            # Rows straight from the plan whose edges were just checked.
-            _write_rows(out, built.row_blocks(), args.format, inst.n, inst.m, inst.h, built.plan_json())
+    _write_built(args.output, built, args.format, built.plan_json())
     return EXIT_OK
 
 
-def _read_matrix_lines(path: str) -> BinaryMatrix:
+def _read_matrix_lines(path: str, n: int) -> BinaryMatrix:
+    """The matrix in a file of one row per line; a file with no rows is the
+    matrix of no rows and n columns, as `reconstruct` writes for m = 0."""
     with open(path, encoding="utf-8") as handle:
         rows = list(filter(None, map(str.strip, handle)))
-    if not rows:
-        raise ValueError(f"matrix file {path} is empty")
-    return BinaryMatrix(tuple(rows), len(rows[0]))
+    return BinaryMatrix(tuple(rows), len(rows[0]) if rows else n)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -184,19 +196,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     check = check_degree_sequence(degrees, args.h)
     if check.kind == "unsupported" or check.instance is None:
         raise ValueError("cannot verify against this degree sequence")
-    matrix = _read_matrix_lines(args.matrix)
+    matrix = _read_matrix_lines(args.matrix, check.instance.n)
     result = verify(matrix, check.instance)
     print(json.dumps({"valid": result.ok, "problem": result.problem}))
     return EXIT_OK if result.ok else EXIT_NEGATIVE
 
 
 def cmd_bipartite(args: argparse.Namespace) -> int:
-    matrix = twin_free_bipartite(args.n, args.k)
-    with _output(args.output) as out:
-        if args.format == "edges":
-            out.writelines((from_incidence(matrix).to_edges_text(), "\n"))
-        else:
-            _write_rows(out, [matrix.rows], args.format, matrix.ncols, matrix.nrows, args.k)
+    _write_built(args.output, _bipartite(args.n, args.k), args.format, None)
     return EXIT_OK
 
 

@@ -4,9 +4,9 @@ degree-sequence realization entry point.
 Input is checked where it enters: the `Hypergraph` constructor sorts and
 checks every edge it is given. `from_incidence` trusts the checked
 `BinaryMatrix` it reads, whose rows already give sorted in-range edges, and
-checks only what a matrix does not guarantee; it serves matrices from outside
-and `hyperdeg bipartite --format edges`. `realize` builds no matrix: it wraps
-the edges that the construction read off its plan and checked once.
+checks only what a matrix does not guarantee; it serves matrices from outside.
+`realize` builds no matrix: it wraps the edges that the construction read off
+its plan and checked once.
 """
 
 from __future__ import annotations
@@ -70,16 +70,8 @@ class Hypergraph:
         object.__setattr__(hypergraph, "edges", edges)
         return hypergraph
 
-    @property
-    def edge_size(self) -> int:
-        return len(self.edges[0]) if self.edges else 0
-
     def to_edges_text(self) -> str:
         return "\n".join(" ".join(map(str, edge)) for edge in self.edges)
-
-    def to_json_dict(self, edge_size: int | None = None) -> dict:
-        h = self.edge_size or (edge_size or 0)
-        return {"n": self.n, "h": h, "edges": [list(edge) for edge in self.edges]}
 
 
 def from_incidence(matrix: BinaryMatrix) -> Hypergraph:

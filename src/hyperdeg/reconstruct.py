@@ -122,7 +122,7 @@ class _RendersRows:
 
     @cached_property
     def matrix(self) -> BinaryMatrix:
-        return BinaryMatrix(_rows(self._segments), self.instance.n)
+        return BinaryMatrix(tuple(chain.from_iterable(self.row_blocks())), self.instance.n)
 
     def row_blocks(self) -> Iterator[tuple[str, ...]]:
         """The '0'/'1' rows of `matrix`, one plan segment (a rotation class,
@@ -174,16 +174,17 @@ class SpanOneReconstruction(_RendersRows):
 def rec_regular_with_plan(inst: RegularInstance) -> RegularReconstruction:
     """Construct m distinct edges of size h on vertices 1..n, each vertex in
     v of them. The instance must pass check_regular."""
+    feas = check_regular(inst)
+    if not feas.feasible:
+        raise ValueError(f"infeasible homogeneous instance ({feas.violated})")
     segments, levels = _plan_regular(inst)
     return RegularReconstruction(inst, _checked_edges(segments, inst), levels, segments)
 
 
 def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPlan, ...]]:
-    """Segments and level plans of the homogeneous build, unchecked: every
-    segment is a word built here, and the caller checks what it emits."""
-    feas = check_regular(inst)
-    if not feas.feasible:
-        raise ValueError(f"infeasible homogeneous instance ({feas.violated})")
+    """Segments and level plans of the homogeneous build of a feasible
+    instance, unchecked: every segment is a word built here, and the caller
+    checks what it emits."""
     n, m, h, v = inst.n, inst.m, inst.h, inst.v
     if m == 0:
         return [], ()
@@ -252,6 +253,9 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
     """Construct m distinct edges of size h on vertices 1..n, 1..n0 each in
     v of them and the last n1 in v-1, an order the construction yields
     without permuting columns. The instance must pass check_span_one."""
+    feas = check_span_one(inst)
+    if not feas.feasible:
+        raise ValueError(f"infeasible span-one instance ({feas.violated})")
     lifted, segments, levels = _plan_span_one(inst)
     edges = _checked_edges(segments, inst)
     degrees = Counter(chain.from_iterable(edges))
@@ -272,17 +276,9 @@ def _plan_span_one(
     inst: SpanOneInstance,
 ) -> tuple[RegularInstance, list[_Segment], tuple[LevelPlan, ...]]:
     """The lifted homogeneous instance, and the segments and level plans of
-    its build with the surplus rows deleted."""
-    feas = check_span_one(inst)
-    if not feas.feasible:
-        raise ValueError(f"infeasible span-one instance ({feas.violated})")
+    its build with the surplus rows deleted, for a feasible instance."""
     n, h, m = inst.n, inst.h, inst.m
-
-    # Lift to the smallest total above h*m that lcm(n, h) divides. As h*m =
-    # n*v - n1 is no multiple of n, deleted = lifted.m - m < n/gcd(n, h).
-    step = n * h // math.gcd(n, h)
-    lifted_ones = (h * m // step + 1) * step
-    lifted = RegularInstance(n=n, m=lifted_ones // h, h=h, v=lifted_ones // n)
+    lifted = _lifted(inst)
     segments, levels = _plan_regular(lifted)
     deleted = lifted.m - m
 
@@ -311,9 +307,16 @@ def _plan_span_one(
     return lifted, segments, levels
 
 
-def _rows(segments: list[_Segment]) -> tuple[str, ...]:
-    """The plan's rows as '0'/'1' strings, in row order."""
-    return tuple(chain.from_iterable(starmap(_rotations, segments)))
+def _lifted(inst: SpanOneInstance) -> RegularInstance:
+    """The homogeneous instance of the smallest total above h*m that lcm(n, h)
+    divides. As h*m = n*v - n1 is no multiple of n, deleted = lifted.m - m <
+    n/gcd(n, h). A feasible instance lifts to a feasible one: lcm(n, h)
+    divides h*C(n, h) = n*C(n-1, h-1), which is at least n*v > h*m, so the
+    lifted total is at most h*C(n, h)."""
+    n, h = inst.n, inst.h
+    step = n * h // math.gcd(n, h)
+    lifted_ones = (inst.ones_total // step + 1) * step
+    return RegularInstance(n=n, m=lifted_ones // h, h=h, v=lifted_ones // n)
 
 
 def _edges(segments: list[_Segment]) -> _Edges:
@@ -411,6 +414,11 @@ def verify(
 def twin_free_bipartite(n: int, k: int) -> BinaryMatrix:
     """Biadjacency matrix of a k-regular bipartite graph on n + n vertices
     with no twins: symmetric, distinct rows, distinct columns."""
+    return _bipartite(n, k).matrix
+
+
+def _bipartite(n: int, k: int) -> RegularReconstruction:
+    """The checked construction whose rows are twin_free_bipartite(n, k)."""
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got n={n}, k={k}")
-    return rec_regular_with_plan(RegularInstance(n=n, m=n, h=k, v=k)).matrix
+    return rec_regular_with_plan(RegularInstance(n=n, m=n, h=k, v=k))

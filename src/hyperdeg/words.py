@@ -152,12 +152,6 @@ class BinaryMatrix:
         """Columns as rows; a matrix with no rows has no transpose and raises."""
         return BinaryMatrix(tuple(map("".join, zip(*self.rows))), self.nrows)
 
-    def to_lines(self) -> str:
-        return "\n".join(self.rows)
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self.rows)
-
 
 def shift_matrix(u: str) -> BinaryMatrix:
     """All distinct cyclic shifts of u stacked row-wise, in shift order.

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hyperdeg import cli, reconstruct
 from hyperdeg.cli import main
 from hyperdeg.feasibility import RegularInstance
+from hyperdeg.hypergraphs import from_incidence
 from hyperdeg.reconstruct import rec_regular_with_plan, rec_span_one_with_plan, twin_free_bipartite
 from test_reconstruct import feasible_regular_instances, feasible_span_one_instances
 
@@ -202,8 +203,8 @@ def _renderings(matrix, h, plan=None):
     if plan is not None:
         payload["plan"] = plan
     return {
-        "lines": matrix.to_lines() + "\n",
-        "csv": matrix.to_csv() + "\n",
+        "lines": "\n".join(matrix.rows) + "\n",
+        "csv": "\n".join(map(",".join, matrix.rows)) + "\n",
         "json": json.dumps(payload) + "\n",
     }
 
@@ -235,11 +236,24 @@ class TestRowsFromThePlan:
         path = tmp_path / "rows"
         for n in range(2, 9):
             for k in range(1, n):
-                for fmt, text in _renderings(twin_free_bipartite(n, k), k).items():
+                matrix = twin_free_bipartite(n, k)
+                expected = _renderings(matrix, k) | {"edges": from_incidence(matrix).to_edges_text() + "\n"}
+                for fmt, text in expected.items():
                     argv = ("bipartite", "--n", str(n), "--k", str(k), "--format", fmt)
                     assert call(*argv) == (0, text, ""), argv
                     assert call(*argv, "--output", str(path)) == (0, "", ""), argv
                     assert path.read_text(encoding="utf-8") == text, argv
+
+    def test_bipartite_builds_no_matrix(self, monkeypatch):
+        def no_matrix(built):
+            raise AssertionError("bipartite built a BinaryMatrix")
+
+        formats = ("lines", "csv", "json", "edges")
+        argvs = [("bipartite", "--n", "6", "--k", "2", "--format", fmt) for fmt in formats]
+        expected = [call(*argv) for argv in argvs]
+        monkeypatch.setattr(reconstruct._RendersRows, "matrix", property(no_matrix))
+        for argv, result in zip(argvs, expected):
+            assert result[0] == 0 and call(*argv) == result, argv
 
     def test_lines_output_peaks_below_its_file_size(self, tmp_path):
         # The rows are never held whole: the heap peak (edges, their check,
@@ -268,6 +282,18 @@ class TestNegativeDegrees:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("text", ["\n", ""], ids=["reconstruct-output", "empty"])
+    def test_no_rows_is_the_matrix_of_no_rows(self, tmp_path, text):
+        path = tmp_path / "zero.txt"
+        instance = ("--h", "2", "--n", "4", "--v", "0")
+        assert call("reconstruct", *instance, "--output", str(path)) == (0, "", "")
+        assert path.read_text() == "\n"
+        path.write_text(text)
+        valid = '{"valid": true, "problem": null}\n'
+        assert call("verify", *instance, "--matrix", str(path)) == (0, valid, "")
+        code, out, err = call("verify", "--h", "2", "--n", "4", "--v", "1", "--matrix", str(path))
+        assert (code, json.loads(out), err) == (1, {"valid": False, "problem": "shape"}, "")
+
     def test_detects_broken_matrix(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0011\n0011\n")

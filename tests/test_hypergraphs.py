@@ -32,7 +32,6 @@ class TestHypergraphType:
     def test_normalizes_and_validates(self):
         hg = Hypergraph(4, ((3, 1), (2, 4)))
         assert hg.edges == ((1, 3), (2, 4))
-        assert hg.edge_size == 2
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -51,9 +50,7 @@ class TestHypergraphType:
     def test_serializers(self):
         hg = Hypergraph(4, ((1, 2), (3, 4)))
         assert hg.to_edges_text() == "1 2\n3 4"
-        assert hg.to_json_dict() == {"n": 4, "h": 2, "edges": [[1, 2], [3, 4]]}
-        empty = Hypergraph(3, ())
-        assert empty.to_json_dict(edge_size=3) == {"n": 3, "h": 3, "edges": []}
+        assert Hypergraph(3, ()).to_edges_text() == ""
 
 
 class TestIncidenceConversions:
@@ -301,10 +298,10 @@ class TestRealizeChecks:
             realize((5,) * 6, 2)
 
     def test_realize_renders_no_rows(self, monkeypatch):
-        def no_rows(segments):
+        def no_rows(word, shifts):
             raise AssertionError("realize rendered '0'/'1' rows")
 
-        monkeypatch.setattr(reconstruct, "_rows", no_rows)
+        monkeypatch.setattr(reconstruct, "_rotations", no_rows)
         assert realize((5,) * 6, 2).status == "realized"
         assert realize((5, 5, 5, 4, 4, 4, 4, 4, 4), 3).status == "realized"
 

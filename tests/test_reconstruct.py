@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperdeg import reconstruct
@@ -226,6 +226,36 @@ class TestRecSpanOneSweep:
     def test_determinism(self):
         inst = SpanOneInstance(8, 3, 6, 5, 3)
         assert rec_span_one_with_plan(inst).matrix == rec_span_one_with_plan(inst).matrix
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_feasible_instance_lifts_to_a_feasible_regular_one(self, data):
+        # The lift is built without a check of its own, so it must be
+        # feasible: lcm(n, h) divides h*C(n, h), which is at least n*v > h*m.
+        # Half the draws sit at the capacity bound, where the lift has the
+        # least room.
+        n = data.draw(st.integers(2, 80), "n")
+        h = data.draw(st.integers(1, n - 1), "h")
+        top = h * binomial(n, h) // n  # the largest v capacity allows
+        v = data.draw(
+            st.one_of(st.integers(1, min(top, 60)), st.integers(max(1, top - 3), top)), "v"
+        )
+        n1_values = [n1 for n1 in range(1, n) if (n * v - n1) % h == 0]
+        assume(n1_values)
+        n1 = data.draw(st.sampled_from(n1_values), "n1")
+        inst = SpanOneInstance(n, h, v, n - n1, n1)
+        assume(check_span_one(inst).feasible)
+        lifted = reconstruct._lifted(inst)
+        assert check_regular(lifted).feasible, (inst, lifted)
+        assert 0 < lifted.m - inst.m < n // math.gcd(n, h)
+
+    def test_the_lift_is_not_checked_again(self, monkeypatch):
+        def check_regular(inst):
+            raise AssertionError(f"re-checked {inst}")
+
+        monkeypatch.setattr(reconstruct, "check_regular", check_regular)
+        inst = SpanOneInstance(9, 3, 5, 3, 6)
+        assert verify(rec_span_one_with_plan(inst).matrix, inst).ok
 
 
 class TestVerify:

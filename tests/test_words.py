@@ -232,8 +232,6 @@ class TestBinaryMatrix:
         m = BinaryMatrix(("0011", "1100"), 4)
         assert m.row_sums() == (2, 2)
         assert m.col_sums() == (1, 1, 1, 1)
-        assert m.to_lines() == "0011\n1100"
-        assert m.to_csv() == "0,0,1,1\n1,1,0,0"
         assert m.transpose().rows == ("01", "01", "10", "10")
 
     @given(
