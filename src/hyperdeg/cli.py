@@ -17,16 +17,16 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TextIO
 
-from .feasibility import RegularInstance, SpanOneInstance, check_degree_sequence
+from .feasibility import check_degree_sequence
 from .hypergraphs import Hypergraph
 from .necklaces import count_lyndon, count_necklaces, gen_lyndon, gen_necklaces
 from .oracle import exists_distinct_rows
 from .reconstruct import (
+    _BUILDERS,
     RegularReconstruction,
     SpanOneReconstruction,
+    VerifyResult,
     _bipartite,
-    rec_regular_with_plan,
-    rec_span_one_with_plan,
     verify,
 )
 from .words import BinaryMatrix
@@ -174,11 +174,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if not check.result.feasible:
         print(f"infeasible: {check.result.violated}", file=sys.stderr)
         return EXIT_NEGATIVE
-    if isinstance(check.instance, RegularInstance):
-        built = rec_regular_with_plan(check.instance)
-    else:
-        assert isinstance(check.instance, SpanOneInstance)
-        built = rec_span_one_with_plan(check.instance)
+    built = _BUILDERS[type(check.instance)](check.instance)
     _write_built(args.output, built, args.format, built.plan_json())
     return EXIT_OK
 
@@ -194,10 +190,11 @@ def _read_matrix_lines(path: str, n: int) -> BinaryMatrix:
 def cmd_verify(args: argparse.Namespace) -> int:
     degrees = _degrees_from_args(args)
     check = check_degree_sequence(degrees, args.h)
-    if check.kind == "unsupported" or check.instance is None:
+    if check.kind == "unsupported":
         raise ValueError("cannot verify against this degree sequence")
-    matrix = _read_matrix_lines(args.matrix, check.instance.n)
-    result = verify(matrix, check.instance)
+    matrix = _read_matrix_lines(args.matrix, len(degrees))
+    # A sequence with no integral row count has no instance: no shape fits it.
+    result = verify(matrix, check.instance) if check.instance else VerifyResult(False, "shape")
     print(json.dumps({"valid": result.ok, "problem": result.problem}))
     return EXIT_OK if result.ok else EXIT_NEGATIVE
 

@@ -8,7 +8,7 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 __all__ = [
     "binomial",
@@ -26,44 +26,34 @@ def common_divisors(n: int, h: int) -> list[int]:
     """Increasing list of the common divisors of n and h, from 1 to gcd(n,h)."""
     if n < 1 or h < 1:
         raise ValueError("common_divisors needs positive arguments")
-    g = math.gcd(n, h)
-    return [d for d in range(1, g + 1) if g % d == 0]
+    return _divisors(math.gcd(n, h))
+
+
+def _prime_factors(j: int) -> list[int]:
+    """The prime factors of j >= 1 by trial division, increasing, with multiplicity."""
+    factors, p = [], 2
+    while p * p <= j:
+        while j % p == 0:
+            factors.append(p)
+            j //= p
+        p += 1
+    return factors + [j] if j > 1 else factors
 
 
 def euler_phi(j: int) -> int:
     """Count of integers in [1, j] coprime to j."""
     if j < 1:
         raise ValueError("euler_phi needs a positive argument")
-    result, rest = j, j
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
-        p += 1
-    if rest > 1:
-        result -= result // rest
-    return result
+    primes = set(_prime_factors(j))
+    return j // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 def mobius(j: int) -> int:
     """0 when j has a squared prime factor, else (-1)^(number of prime factors)."""
     if j < 1:
         raise ValueError("mobius needs a positive argument")
-    factors = 0
-    rest = j
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                return 0
-            factors += 1
-        p += 1
-    if rest > 1:
-        factors += 1
-    return -1 if factors % 2 else 1
+    factors = _prime_factors(j)
+    return 0 if len(set(factors)) < len(factors) else (-1) ** len(factors)
 
 
 def binomial(n: int, k: int) -> int:
@@ -84,39 +74,35 @@ def _divisors(g: int) -> list[int]:
     return [j for j in range(1, g + 1) if g % j == 0]
 
 
+def _divisor_sum(n: int, d: int, weight: Callable[[int], int]) -> int:
+    """(1/n) * sum over j dividing gcd(n, d) of weight(j) * C(n/j, d/j): the
+    count of necklaces (weight euler_phi) or Lyndon words (weight mobius)."""
+    _check_density_class(n, d)
+    total = sum(weight(j) * math.comb(n // j, d // j) for j in _divisors(math.gcd(n, d)))
+    quotient, rest = divmod(total, n)
+    assert rest == 0, "divisor sum must be a multiple of n"
+    return quotient
+
+
 def count_necklaces(n: int, d: int) -> int:
     """Number of binary necklaces of length n with exactly d ones."""
-    _check_density_class(n, d)
-    total = sum(
-        euler_phi(j) * math.comb(n // j, d // j) for j in _divisors(math.gcd(n, d))
-    )
-    quotient, rest = divmod(total, n)
-    assert rest == 0, "necklace divisor sum must be a multiple of n"
-    return quotient
+    return _divisor_sum(n, d, euler_phi)
 
 
 def count_lyndon(n: int, d: int) -> int:
     """Number of binary Lyndon words of length n with exactly d ones."""
-    _check_density_class(n, d)
-    total = sum(
-        mobius(j) * math.comb(n // j, d // j) for j in _divisors(math.gcd(n, d))
-    )
-    quotient, rest = divmod(total, n)
-    assert rest == 0, "Lyndon divisor sum must be a multiple of n"
-    return quotient
+    return _divisor_sum(n, d, mobius)
 
 
 def gen_lyndon(n: int, d: int) -> Iterator[str]:
     """Yield the Lyndon words of length n and density d in increasing
     lexicographic order. Each call returns an independent stream."""
-    _check_density_class(n, d)
     return _generate(n, d, lyndon=True)
 
 
 def gen_necklaces(n: int, d: int) -> Iterator[str]:
     """Yield the canonical necklace representatives of length n and density d
     in increasing lexicographic order. Each call returns an independent stream."""
-    _check_density_class(n, d)
     return _generate(n, d, lyndon=False)
 
 
@@ -125,7 +111,8 @@ def _generate(n: int, d: int, lyndon: bool) -> Iterator[str]:
     # that cannot reach exactly d ones pruned away. Trying 0 before 1 at every
     # position makes the output order lexicographic; a leaf at depth n is a
     # necklace when its longest-prefix period p divides n, and a Lyndon word
-    # when p == n.
+    # when p == n. The density class is checked at the call, not at the first word.
+    _check_density_class(n, d)
     word = bytearray(n + 1)  # word[0] is the sentinel read by the copy step
 
     def extend(t: int, p: int, ones: int) -> Iterator[str]:

@@ -34,15 +34,10 @@ class OracleResult:
 
 def _candidate_rows(n: int, h: int) -> list[tuple[int, ...]]:
     """Positions of the ones of every length-n density-h word, ordered so the
-    corresponding words are lexicographically increasing."""
-    words = []
-    for ones in combinations(range(n), h):
-        chars = ["0"] * n
-        for j in ones:
-            chars[j] = "1"
-        words.append("".join(chars))
-    words.sort()
-    return [tuple(j for j, ch in enumerate(w) if ch == "1") for w in words]
+    corresponding words are lexicographically increasing: two such words first
+    differ at the least position in just one of their sets of ones, and the
+    word with a 1 there is the larger, so the position tuples run decreasing."""
+    return list(combinations(range(n), h))[::-1]
 
 
 def _positions_to_row(ones: tuple[int, ...], n: int) -> str:

@@ -28,9 +28,10 @@ h = 0 are emitted row by row.
 
 The span-one build lifts the instance to the smallest strictly larger
 homogeneous one whose total fits the divisibility constraints, plans that,
-and drops from the plan the leading shifts of the embedded coset block of
-0^(n-h) 1^h. They lower every column alike but the last n1, which drop one
-further, so the columns already descend by sum and are never reordered.
+and cuts from the one segment whose word is the reserved 0^(n-h) 1^h (its
+whole rotation class, or coset block 0) the rows of its first shifts by
+multiples of h. They lower every column alike but the last n1, which drop
+one further, so the columns already descend by sum and are never reordered.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .feasibility import (
     check_span_one,
 )
 from .necklaces import common_divisors, count_lyndon, gen_lyndon
-from .words import BinaryMatrix, _rotations
+from .words import BinaryMatrix, _coset_block, _rotations
 
 __all__ = [
     "ConstructionInvariantError",
@@ -188,12 +189,10 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
     n, m, h, v = inst.n, inst.m, inst.h, inst.v
     if m == 0:
         return [], ()
-    if h == 0:
-        # Feasibility caps m at 1: a single all-zero row.
-        return [("0" * n, range(m))], ()
-    if h == n:
-        # Capacity forces v <= 1, hence m <= 1: a single all-ones row.
-        return [("1" * n, range(m))], ()
+    if h in (0, n):
+        # Feasibility caps m at 1 (for h = n by capacity, v <= 1): the one row
+        # 0^(n-h) 1^h, all zeros or all ones, which is its own coset block 0.
+        return [_coset_block(n, h, 0)], ()
 
     segments: list[_Segment] = []
     levels: list[LevelPlan] = []
@@ -206,7 +205,7 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
         available = count_lyndon(length, dens)
         q = min(remaining // dens, available)
         fill_here = remaining - q * dens > 0 and q < available
-        reserved = "0" * (length - dens) + "1" * dens
+        reserved, _ = _coset_block(length, dens, 0)
         offset = nrows
         reserved_offset: int | None = None
         taken = 0
@@ -235,9 +234,7 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
             blocks_offset = nrows
             for j in range(blocks):
                 # block_submatrix(length, dens, j) with every row tiled d times.
-                block_word = "1" * j + "0" * (length - dens) + "1" * (dens - j)
-                # Shifts by multiples of dens, reduced mod the tiled word's period.
-                shifts = [i * dens % length for i in range(length // g)]
+                block_word, shifts = _coset_block(length, dens, j)
                 segments.append((block_word * d, shifts))
             nrows += blocks * (length // g)
             remaining = 0
@@ -272,38 +269,35 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
     )
 
 
+# The construction call of each degree class. Callers index it in their own
+# frame: a wrapper would add a frame above the recursive `gen_lyndon`.
+_BUILDERS = {RegularInstance: rec_regular_with_plan, SpanOneInstance: rec_span_one_with_plan}
+
+
 def _plan_span_one(
     inst: SpanOneInstance,
 ) -> tuple[RegularInstance, list[_Segment], tuple[LevelPlan, ...]]:
     """The lifted homogeneous instance, and the segments and level plans of
     its build with the surplus rows deleted, for a feasible instance."""
-    n, h, m = inst.n, inst.h, inst.m
+    n, h = inst.n, inst.h
     lifted = _lifted(inst)
     segments, levels = _plan_regular(lifted)
-    deleted = lifted.m - m
+    deleted = lifted.m - inst.m
 
-    # The base level always embeds the class of 0^(n-h) 1^h, either whole or
-    # as coset blocks; drop its first `deleted` shift-by-h rows. Deleted row i
-    # has its ones at [n-(i+1)h, n-ih) mod n, so the deleted rows cover
+    # The base level holds 0^(n-h) 1^h, as a whole rotation class or as coset
+    # block 0; words tiled at higher levels are periodic, so no other segment
+    # does. Its shifts j*h mod n for j < deleted are cut: deleted row j has its
+    # ones at [n-(j+1)h, n-jh) mod n, so the deleted rows cover
     # n*(lifted.v - v) + n1 cells running down from column n-1: only the last
-    # n1 columns drop to v-1, and the columns need no reordering. The base
-    # level is divisor 1, whose classes have n rows each and precede its
-    # blocks, so its row offsets divided by n index its segments.
-    base_level = levels[0]
-    if base_level.blocks_offset is not None:
-        i = base_level.blocks_offset // n
-        word, shifts = segments[i]
-        segments[i] = (word, shifts[deleted:])
-    elif base_level.reserved_offset is not None:
-        # The whole class is the n rotations of the reserved word in shift order.
-        i = base_level.reserved_offset // n
-        doomed = {(j * h) % n for j in range(deleted)}
-        word, shifts = segments[i]
-        segments[i] = (word, [k for k in shifts if k not in doomed])
-    else:
+    # n1 columns drop to v-1, and the columns need no reordering.
+    reserved, block_shifts = _coset_block(n, h, 0)
+    i = next((i for i, (word, _) in enumerate(segments) if word == reserved), None)
+    if i is None:
         raise ConstructionInvariantError(
-            "reserved class missing from base level", inst, base_level.divisor
+            "reserved class missing from base level", inst, levels[0].divisor
         )
+    doomed = set(block_shifts[:deleted])
+    segments[i] = (reserved, [k for k in segments[i][1] if k not in doomed])
     return lifted, segments, levels
 
 

@@ -3,7 +3,9 @@
 Periods, lexicographically-least canonical forms, Lyndon tests, and the
 matrices obtained by stacking the distinct rotations of a word. The single
 shift convention used everywhere is left rotation: the first symbol moves to
-the end.
+the end. `_coset_block` is the one definition of the coset blocks of
+0^(n-h) 1^h: `block_submatrix` renders them, and the construction plans
+from them.
 
 Input is checked where it enters: each public function checks its word, and
 `BinaryMatrix` checks every row once. Internal builders such as `_rotations`
@@ -60,6 +62,14 @@ def _rotations(word: str, shifts: Iterable[int]) -> tuple[str, ...]:
     n = len(word)
     doubled = word + word
     return tuple([doubled[k % n : k % n + n] for k in shifts])
+
+
+def _coset_block(n: int, h: int, j: int) -> tuple[str, list[int]]:
+    """The j-th coset block of the rotation class of 0^(n-h) 1^h, for
+    0 <= j < gcd(n,h): the word 1^j 0^(n-h) 1^(h-j) and its shifts by
+    multiples of h, reduced mod n. For h = 0 or n, block 0 is one row."""
+    word = "1" * j + "0" * (n - h) + "1" * (h - j)
+    return word, [i * h % n for i in range(n // math.gcd(n, h))]
 
 
 def _row_blocks(
@@ -174,5 +184,4 @@ def block_submatrix(n: int, h: int, j: int) -> BinaryMatrix:
     g = math.gcd(n, h)
     if not 0 <= j < g:
         raise ValueError(f"block index must lie in [0, {g}), got {j}")
-    word = "1" * j + "0" * (n - h) + "1" * (h - j)
-    return BinaryMatrix(_rotations(word, range(0, n // g * h, h)), n)
+    return BinaryMatrix(_rotations(*_coset_block(n, h, j)), n)

@@ -294,6 +294,27 @@ class TestVerifyCommand:
         code, out, err = call("verify", "--h", "2", "--n", "4", "--v", "1", "--matrix", str(path))
         assert (code, json.loads(out), err) == (1, {"valid": False, "problem": "shape"}, "")
 
+    @pytest.mark.parametrize("degrees", ["3,3,3,3,3,3,3", "2,2,1"], ids=["regular", "span-one"])
+    def test_no_integral_row_count_is_shape(self, tmp_path, degrees):
+        # No m makes m*h the degree total: no matrix has the shape, so a
+        # well-formed one is answered `shape`, and a malformed one is still a
+        # usage error.
+        path = tmp_path / "m.txt"
+        n = len(degrees.split(","))
+        for text in ("", "1" * 2 + "0" * (n - 2) + "\n", "0" * n + "\n" + "1" * n + "\n"):
+            path.write_text(text)
+            code, out, err = call("verify", "--h", "2", "--degrees", degrees, "--matrix", str(path))
+            assert (code, json.loads(out), err) == (1, {"valid": False, "problem": "shape"}, "")
+        path.write_text("01x\n")
+        code, out, err = call("verify", "--h", "2", "--degrees", degrees, "--matrix", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: row 1 has symbol 'x'")
+
+    def test_unsupported_class_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("110\n")
+        code, out, err = call("verify", "--h", "2", "--degrees", "3,2,1", "--matrix", str(path))
+        assert (code, out) == (2, "") and err == "error: cannot verify against this degree sequence\n"
+
     def test_detects_broken_matrix(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0011\n0011\n")

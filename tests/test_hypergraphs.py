@@ -34,17 +34,17 @@ class TestHypergraphType:
         assert hg.edges == ((1, 3), (2, 4))
 
     def test_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^parallel edges are not allowed$"):
             Hypergraph(3, ((1, 2), (1, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^all edges must have the same size$"):
             Hypergraph(3, ((1, 2), (1, 2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex index out of range in edge \(0, 1\)$"):
             Hypergraph(3, ((0, 1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex index out of range in edge \(3, 4\)$"):
             Hypergraph(3, ((3, 4),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge repeats a vertex: \(1, 1\)$"):
             Hypergraph(3, ((1, 1),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^edges must be nonempty$"):
             Hypergraph(3, ((),))
 
     def test_serializers(self):

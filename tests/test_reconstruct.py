@@ -223,6 +223,25 @@ class TestRecSpanOneSweep:
             built = rec_span_one_with_plan(inst)
             assert 1 <= built.rows_deleted < inst.n // math.gcd(inst.n, inst.h)
 
+    def test_the_cut_takes_the_reserved_words_first_shifts_by_h(self):
+        # The span-one plan cuts one segment, the one whose word is
+        # 0^(n-h) 1^h, by its shifts j*h mod n for j < deleted.
+        for inst in feasible_span_one_instances(12):
+            n, h = inst.n, inst.h
+            lifted = reconstruct._lifted(inst)
+            segments, levels = reconstruct._plan_regular(lifted)
+            deleted = lifted.m - inst.m
+            holding = [shifts for word, shifts in segments if word == "0" * (n - h) + "1" * h]
+            assert len(holding) == 1, inst
+            doomed = [j * h % n for j in range(deleted)]
+            assert set(doomed) <= set(holding[0]), inst
+            if levels[0].partial_blocks:
+                # The reserved word is coset block 0 of the base level.
+                assert list(holding[0][:deleted]) == doomed, inst
+            _, cut, _ = reconstruct._plan_span_one(inst)
+            rows = sum(len(shifts) for _, shifts in segments)
+            assert rows - sum(len(shifts) for _, shifts in cut) == deleted, inst
+
     def test_determinism(self):
         inst = SpanOneInstance(8, 3, 6, 5, 3)
         assert rec_span_one_with_plan(inst).matrix == rec_span_one_with_plan(inst).matrix
