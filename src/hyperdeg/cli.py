@@ -14,11 +14,10 @@ import functools
 import json
 import re
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import TextIO
 
 from .feasibility import check_degree_sequence
-from .hypergraphs import Hypergraph
 from .necklaces import count_lyndon, count_necklaces, gen_lyndon, gen_necklaces
 from .oracle import exists_distinct_rows
 from .reconstruct import (
@@ -54,11 +53,11 @@ def _read_degrees_file(path: str) -> tuple[int, ...]:
 
 def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
     """Resolve the degree source options to a nonincreasing vector."""
-    if getattr(args, "degrees", None) is not None:
+    if args.degrees is not None:
         raw = _parse_degrees_text(args.degrees)
-    elif getattr(args, "degrees_file", None) is not None:
+    elif args.degrees_file is not None:
         raw = _read_degrees_file(args.degrees_file)
-    elif getattr(args, "n", None) is not None and getattr(args, "v", None) is not None:
+    elif args.n is not None and args.v is not None:
         if args.n < 1:
             raise ValueError("--n must be positive")
         if args.v < 0:
@@ -72,13 +71,6 @@ def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
     return ordered
 
 
-def _add_degree_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--degrees", help="comma-separated degree list")
-    parser.add_argument("--degrees-file", help="file with one degree per line")
-    parser.add_argument("--n", type=int, help="column count (with --v: regular instance)")
-    parser.add_argument("--v", type=int, help="uniform degree (with --n)")
-
-
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
     """The file at `path`, opened for writing, or stdout when no path is given."""
@@ -89,34 +81,14 @@ def _output(path: str | None) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-# Per matrix format: the text of one row, and what separates two rows.
-_ROW_TEXT = {"lines": (str, "\n"), "csv": (",".join, "\n"), "json": ('"{}"'.format, ", ")}
-
-
-def _write_rows(
-    out: TextIO,
-    blocks: Iterable[Sequence[str]],
-    fmt: str,
-    n: int,
-    m: int,
-    h: int,
-    plan: dict | None = None,
-) -> None:
-    """Write m rows of n '0'/'1' symbols, given in nonempty blocks, as `fmt`
-    (lines, csv or json) and a closing newline. Only one block is held as
-    text at a time; the bytes are those of the whole matrix rendered at once,
-    so no rows give a lone newline."""
-    row_text, sep = _ROW_TEXT[fmt]
-    if fmt == "json":
-        out.write(json.dumps({"n": n, "m": m, "h": h})[:-1] + ', "rows": [')
-    between = ""
-    for block in blocks:
-        out.write(between)
-        out.write(sep.join(map(row_text, block)))
-        between = sep
-    if fmt == "json":
-        out.write("]" + ("" if plan is None else f', "plan": {json.dumps(plan)}') + "}")
-    out.write("\n")
+# Per output format: the text of one row ('0'/'1' symbols, or for `edges` one
+# edge's vertices), and what separates two rows.
+_FORMATS = {
+    "lines": (str, "\n"),
+    "csv": (lambda row: row.replace("", ",")[1:-1], "\n"),
+    "json": ('"{}"'.format, ", "),
+    "edges": (lambda edge: " ".join(map(str, edge)), "\n"),
+}
 
 
 def _write_built(
@@ -125,26 +97,46 @@ def _write_built(
     fmt: str,
     plan: dict | None,
 ) -> None:
-    """Write a checked construction as `fmt`: its edges, or its rows straight
-    from the plan whose edges were checked."""
+    """Write a checked construction as `fmt` and a closing newline: its
+    checked edges as one block, or its rows straight from the plan whose edges
+    were checked, a block at a time. Only one block is held as text at a time;
+    the bytes are those of the whole output rendered at once, so no rows give
+    a lone newline."""
     inst = built.instance
+    row_text, sep = _FORMATS[fmt]
     with _output(path) as out:
-        if fmt == "edges":
-            out.writelines((Hypergraph._trusted(inst.n, built.edges).to_edges_text(), "\n"))
-        else:
-            _write_rows(out, built.row_blocks(), fmt, inst.n, inst.m, inst.h, plan)
+        if fmt == "json":
+            out.write(json.dumps({"n": inst.n, "m": inst.m, "h": inst.h})[:-1] + ', "rows": [')
+        between = ""
+        for block in (built.edges,) if fmt == "edges" else built.row_blocks():
+            out.write(between)
+            out.write(sep.join(map(row_text, block)))
+            between = sep
+        if fmt == "json":
+            out.write("]" + ("" if plan is None else f', "plan": {json.dumps(plan)}') + "}")
+        out.write("\n")
+
+
+def _refuse_span_over_one() -> int:
+    """Report a sequence of more than two degree values as unsupported."""
+    print("unsupported degree class: span>1", file=sys.stderr)
+    return EXIT_NEGATIVE
+
+
+# Per word kind: its counter and its generator.
+_WORDS = {"lyndon": (count_lyndon, gen_lyndon), "necklace": (count_necklaces, gen_necklaces)}
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    counter = count_lyndon if args.kind == "lyndon" else count_necklaces
+    counter, _ = _WORDS[args.kind]
     print(counter(args.n, args.h))
     return EXIT_OK
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    stream = gen_lyndon(args.n, args.h) if args.kind == "lyndon" else gen_necklaces(args.n, args.h)
+    _, generate = _WORDS[args.kind]
     emitted = 0
-    for word in stream:
+    for word in generate(args.n, args.h):
         if args.limit is not None and emitted >= args.limit:
             break
         print(word)
@@ -168,8 +160,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     degrees = _degrees_from_args(args)
     check = check_degree_sequence(degrees, args.h)
     if check.kind == "unsupported":
-        print("unsupported degree class: span>1", file=sys.stderr)
-        return EXIT_NEGATIVE
+        return _refuse_span_over_one()
     assert check.result is not None
     if not check.result.feasible:
         print(f"infeasible: {check.result.violated}", file=sys.stderr)
@@ -191,9 +182,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     degrees = _degrees_from_args(args)
     check = check_degree_sequence(degrees, args.h)
     if check.kind == "unsupported":
-        raise ValueError("cannot verify against this degree sequence")
+        return _refuse_span_over_one()
     matrix = _read_matrix_lines(args.matrix, len(degrees))
-    # A sequence with no integral row count has no instance: no shape fits it.
+    # A regular sequence with no integral row count has no instance: no shape fits it.
     result = verify(matrix, check.instance) if check.instance else VerifyResult(False, "shape")
     print(json.dumps({"valid": result.ok, "problem": result.problem}))
     return EXIT_OK if result.ok else EXIT_NEGATIVE
@@ -212,6 +203,31 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if result.exists else EXIT_NEGATIVE
 
 
+def _degree_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand that takes an edge size and one degree source."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--h", type=int, required=True, help="edge size / row sum")
+    parser.add_argument("--degrees", help="comma-separated degree list")
+    parser.add_argument("--degrees-file", help="file with one degree per line")
+    parser.add_argument("--n", type=int, help="column count (with --v: regular instance)")
+    parser.add_argument("--v", type=int, help="uniform degree (with --n)")
+    return parser
+
+
+def _word_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand over the density-h words of length n of one kind."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--n", type=int, required=True, help="word length")
+    parser.add_argument("--h", type=int, required=True, help="word density")
+    parser.add_argument("--kind", choices=tuple(_WORDS), required=True)
+    return parser
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=tuple(_FORMATS), default="lines")
+    parser.add_argument("--output", help="write to this path instead of stdout")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -222,51 +238,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", help="count necklaces or Lyndon words")
-    p_count.add_argument("--n", type=int, required=True, help="word length")
-    p_count.add_argument("--h", type=int, required=True, help="word density")
-    p_count.add_argument("--kind", choices=("lyndon", "necklace"), required=True)
-
-    p_gen = sub.add_parser("gen", help="generate necklaces or Lyndon words")
-    p_gen.add_argument("--n", type=int, required=True, help="word length")
-    p_gen.add_argument("--h", type=int, required=True, help="word density")
-    p_gen.add_argument("--kind", choices=("lyndon", "necklace"), required=True)
+    _word_command(sub, "count", "count necklaces or Lyndon words")
+    p_gen = _word_command(sub, "gen", "generate necklaces or Lyndon words")
     p_gen.add_argument("--limit", type=int, help="stop after this many words")
-
-    p_check = sub.add_parser("check", help="feasibility of a degree sequence")
-    p_check.add_argument("--h", type=int, required=True, help="edge size / row sum")
-    _add_degree_source(p_check)
-
-    p_rec = sub.add_parser("reconstruct", help="build a witness incidence matrix")
-    p_rec.add_argument("--h", type=int, required=True, help="edge size / row sum")
-    _add_degree_source(p_rec)
-    p_rec.add_argument(
-        "--format", choices=("lines", "csv", "json", "edges"), default="lines"
-    )
-    p_rec.add_argument("--output", help="write to this path instead of stdout")
-
-    p_ver = sub.add_parser("verify", help="check a matrix against a degree sequence")
-    p_ver.add_argument("--h", type=int, required=True, help="edge size / row sum")
-    _add_degree_source(p_ver)
+    _degree_command(sub, "check", "feasibility of a degree sequence")
+    _add_output(_degree_command(sub, "reconstruct", "build a witness incidence matrix"))
+    p_ver = _degree_command(sub, "verify", "check a matrix against a degree sequence")
     p_ver.add_argument("--matrix", required=True, help="matrix file, one row per line")
-
-    p_bip = sub.add_parser(
-        "bipartite", help="twin-free k-regular bipartite biadjacency matrix"
-    )
+    p_bip = sub.add_parser("bipartite", help="twin-free k-regular bipartite biadjacency matrix")
     p_bip.add_argument("--n", type=int, required=True, help="vertices per side")
     p_bip.add_argument("--k", type=int, required=True, help="vertex degree")
-    p_bip.add_argument(
-        "--format", choices=("lines", "csv", "json", "edges"), default="lines"
-    )
-    p_bip.add_argument("--output", help="write to this path instead of stdout")
-
-    p_oracle = sub.add_parser(
-        "oracle", help="small-instance exhaustive existence search"
-    )
-    p_oracle.add_argument("--h", type=int, required=True, help="edge size / row sum")
-    _add_degree_source(p_oracle)
-
+    _add_output(p_bip)
+    _degree_command(sub, "oracle", "small-instance exhaustive existence search")
     return parser
 
 

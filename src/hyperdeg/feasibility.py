@@ -197,8 +197,10 @@ def classify_degrees(degrees: Sequence[int]) -> str:
 @dataclass(frozen=True)
 class DegreeCheck:
     """Classification of a degree vector together with the matching
-    feasibility verdict; instance and result are None when unsupported, and
-    instance alone is None when no integral row count exists."""
+    feasibility verdict. Instance and result are None when unsupported.
+    Instance alone is None for a regular sequence with no integral row count;
+    a span-one sequence keeps its `SpanOneInstance` even then, with the
+    verdict `integrality`."""
 
     kind: str
     instance: RegularInstance | SpanOneInstance | None

@@ -65,9 +65,6 @@ class Hypergraph:
         object.__setattr__(hypergraph, "edges", edges)
         return hypergraph
 
-    def to_edges_text(self) -> str:
-        return "\n".join(" ".join(map(str, edge)) for edge in self.edges)
-
 
 def from_incidence(matrix: BinaryMatrix) -> Hypergraph:
     """Read each row as an edge over the 1-based column indices of its ones.
@@ -123,12 +120,9 @@ class RealizationResult:
 
 def realize(degrees: Iterable[int] | Sequence[int], h: int) -> RealizationResult:
     """Realize a degree sequence as an h-uniform hypergraph without parallel
-    edges. Supported shapes are regular and span-one sequences; the input is
-    sorted nonincreasingly before classification."""
-    if h < 1:
-        raise ValueError("edge size must be positive")
-    values = tuple(sorted((int(d) for d in degrees), reverse=True))
-    check = check_degree_sequence(values, h)
+    edges. Supported shapes are regular and span-one sequences, in any order:
+    vertices 1..n0 take the larger degree of a span-one sequence."""
+    check = check_degree_sequence(tuple(map(int, degrees)), h)
     if check.kind == "unsupported":
         return RealizationResult("unsupported", reason="span>1")
     assert check.result is not None

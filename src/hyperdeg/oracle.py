@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
+from operator import gt
 
 from .words import BinaryMatrix
 
@@ -79,6 +80,15 @@ def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResul
     if m > len(candidates):
         return OracleResult(False)
 
+    # ones_from[i][j]: how many candidates from index i on have a one in
+    # column j; a column that needs more ones than that cannot be filled.
+    ones_from = [[0] * n]
+    for ones in reversed(candidates):
+        counts = ones_from[-1][:]
+        for j in ones:
+            counts[j] += 1
+        ones_from.append(counts)
+    ones_from.reverse()
     remaining = list(col_sums)
     chosen: list[int] = []
 
@@ -89,6 +99,8 @@ def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResul
         if len(candidates) - start < rows_left:
             return False
         if max(remaining) > rows_left:
+            return False
+        if any(map(gt, remaining, ones_from[start])):
             return False
         for idx in range(start, len(candidates)):
             ones = candidates[idx]

@@ -237,7 +237,9 @@ class TestRowsFromThePlan:
         for n in range(2, 9):
             for k in range(1, n):
                 matrix = twin_free_bipartite(n, k)
-                expected = _renderings(matrix, k) | {"edges": from_incidence(matrix).to_edges_text() + "\n"}
+                edges = from_incidence(matrix).edges
+                edges_text = "".join(" ".join(map(str, edge)) + "\n" for edge in edges)
+                expected = _renderings(matrix, k) | {"edges": edges_text}
                 for fmt, text in expected.items():
                     argv = ("bipartite", "--n", str(n), "--k", str(k), "--format", fmt)
                     assert call(*argv) == (0, text, ""), argv
@@ -309,11 +311,12 @@ class TestVerifyCommand:
         code, out, err = call("verify", "--h", "2", "--degrees", degrees, "--matrix", str(path))
         assert (code, out) == (2, "") and err.startswith("error: row 1 has symbol 'x'")
 
-    def test_unsupported_class_is_a_usage_error(self, tmp_path):
+    def test_unsupported_class_is_refused_as_by_reconstruct(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("110\n")
-        code, out, err = call("verify", "--h", "2", "--degrees", "3,2,1", "--matrix", str(path))
-        assert (code, out) == (2, "") and err == "error: cannot verify against this degree sequence\n"
+        refusal = (1, "", "unsupported degree class: span>1\n")
+        assert call("verify", "--h", "2", "--degrees", "3,2,1", "--matrix", str(path)) == refusal
+        assert call("reconstruct", "--h", "2", "--degrees", "3,2,1") == refusal
 
     def test_detects_broken_matrix(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -368,9 +371,14 @@ class TestOracleCommand:
         assert sorted(payload["witness"]) == ["0101", "0110", "1001", "1010", "1100"]
 
     def test_not_exists(self, capsys):
-        code, out, _ = run(capsys, "oracle", "--h", "2", "--degrees", "6,6,6,6,6,6")
-        assert code == 1
-        assert json.loads(out) == {"exists": False, "witness": None}
+        # 35,...,35,7: each of the first seven columns needs all 35 rows with
+        # a one there, so all 70 rows are needed, but the total admits 63.
+        # Passing over any row leaves a column short, which the capacity
+        # prune sees at once; without it the search runs for seconds.
+        for h, degrees in (("2", "6,6,6,6,6,6"), ("4", "35,35,35,35,35,35,35,7")):
+            code, out, _ = run(capsys, "oracle", "--h", h, "--degrees", degrees)
+            assert code == 1
+            assert json.loads(out) == {"exists": False, "witness": None}
 
     def test_guard_is_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle", "--h", "2", "--degrees", "1,1,1,1,1,1,1,1,1")

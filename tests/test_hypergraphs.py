@@ -47,11 +47,6 @@ class TestHypergraphType:
         with pytest.raises(ValueError, match="^edges must be nonempty$"):
             Hypergraph(3, ((),))
 
-    def test_serializers(self):
-        hg = Hypergraph(4, ((1, 2), (3, 4)))
-        assert hg.to_edges_text() == "1 2\n3 4"
-        assert Hypergraph(3, ()).to_edges_text() == ""
-
 
 class TestIncidenceConversions:
     def test_from_incidence_examples(self):
