@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import re
 import sys
@@ -98,10 +99,10 @@ def _write_built(
     plan: dict | None,
 ) -> None:
     """Write a checked construction as `fmt` and a closing newline: its
-    checked edges as one block, or its rows straight from the plan whose edges
-    were checked, a block at a time. Only one block is held as text at a time;
-    the bytes are those of the whole output rendered at once, so no rows give
-    a lone newline."""
+    edges as one block, emitted for this format only, or its rows straight
+    from the checked plan, a block at a time. Only one block is held as text
+    at a time; the bytes are those of the whole output rendered at once, so
+    no rows give a lone newline."""
     inst = built.instance
     row_text, sep = _FORMATS[fmt]
     with _output(path) as out:
@@ -135,12 +136,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     _, generate = _WORDS[args.kind]
-    emitted = 0
-    for word in generate(args.n, args.h):
-        if args.limit is not None and emitted >= args.limit:
-            break
+    # Exactly --limit words are pulled; a limit below zero takes none.
+    limit = None if args.limit is None else max(args.limit, 0)
+    for word in itertools.islice(generate(args.n, args.h), limit):
         print(word)
-        emitted += 1
     return EXIT_OK
 
 

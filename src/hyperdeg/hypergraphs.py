@@ -5,8 +5,8 @@ Input is checked where it enters: the `Hypergraph` constructor sorts and
 checks every edge it is given. `from_incidence` trusts the checked
 `BinaryMatrix` it reads, whose rows already give sorted in-range edges, and
 checks only what a matrix does not guarantee; it serves matrices from outside.
-`realize` builds no matrix: it wraps the edges that the construction read off
-its plan and checked once.
+`realize` builds no matrix: it wraps the edges read off the construction's
+checked plan.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ def realize(degrees: Iterable[int] | Sequence[int], h: int) -> RealizationResult
 
 
 def _witness(instance: RegularInstance | SpanOneInstance) -> Hypergraph:
-    """The constructed hypergraph of a feasible instance, on the edges the
-    construction checked.
+    """The constructed hypergraph of a feasible instance, on the edges read
+    off its checked plan.
 
     Keep this call: through it `realize` reaches the recursive `gen_lyndon`
     as deep as the benchmark's traced replay does, so both hit the

@@ -14,9 +14,16 @@ inputs therefore produce bit-identical outputs.
 A build is planned before any row exists. The plan is a list of segments,
 each a word tiled to length n and the left rotations of it that are rows,
 plus one `LevelPlan` per level. `rec_*_with_plan`, the one construction call
-per degree class, reads each row's edge (the one-positions of its word moved
-by the shift) off the plan and checks the edges once; the '0'/'1' rows are
-rendered only when a reconstruction's `matrix` or `row_blocks` is asked for.
+per degree class, checks the witness on its plan, one segment at a time, as
+the paper proves it valid (`_check_plan`): rows are distinct because each
+full class has its own Lyndon word and the rows of coset blocks and of the
+span-one cut are distinct rotations of their level's reserved word, and the
+column sums follow from each segment's word and shifts. That takes
+O(#segments * n) string operations in C; no row or edge is built for it.
+
+Edges and rows are read off the checked plan only when asked for: `edges`
+(for `realize` and `--format edges`), with O(m) C-level checks of count,
+size and vertex range, and the '0'/'1' rows as `matrix` or `row_blocks`.
 
 Edges are emitted in runs. Across a range of shifts, the window of a word's
 one-positions that makes up a row moves only when the shift passes the next
@@ -37,12 +44,11 @@ one further, so the columns already descend by sum and are never reordered.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat, starmap
-from operator import itemgetter
+from operator import itemgetter, not_
 
 from .feasibility import (
     Feasibility,
@@ -118,8 +124,13 @@ class LevelPlan:
 
 
 class _RendersRows:
-    """The rows of a reconstruction, rendered from its plan: `matrix` on first
-    use, or `row_blocks` one segment at a time."""
+    """The edges and rows of a reconstruction, read from its checked plan on
+    first use: `edges`, `matrix`, or `row_blocks` one segment at a time."""
+
+    @cached_property
+    def edges(self) -> _Edges:
+        """Sorted 1-based one-positions of each row, in row order."""
+        return _checked_edges(self._segments, self.instance)
 
     @cached_property
     def matrix(self) -> BinaryMatrix:
@@ -128,14 +139,13 @@ class _RendersRows:
     def row_blocks(self) -> Iterator[tuple[str, ...]]:
         """The '0'/'1' rows of `matrix`, one plan segment (a rotation class,
         or a coset block) at a time, without building or checking `matrix`:
-        the construction has checked the edges these rows spell."""
+        the construction has checked the plan these rows are read from."""
         return starmap(_rotations, self._segments)
 
 
 @dataclass(frozen=True)
 class RegularReconstruction(_RendersRows):
     instance: RegularInstance
-    edges: _Edges  # sorted 1-based one-positions of each row, in row order
     levels: tuple[LevelPlan, ...]
     _segments: list[_Segment] = field(repr=False, compare=False)
 
@@ -146,7 +156,6 @@ class RegularReconstruction(_RendersRows):
 @dataclass(frozen=True)
 class SpanOneReconstruction(_RendersRows):
     instance: SpanOneInstance
-    edges: _Edges
     lifted_rows: int  # row count of the intermediate homogeneous instance
     lifted_degree: int  # its homogeneous column sum
     rows_deleted: int
@@ -179,7 +188,8 @@ def rec_regular_with_plan(inst: RegularInstance) -> RegularReconstruction:
     if not feas.feasible:
         raise ValueError(f"infeasible homogeneous instance ({feas.violated})")
     segments, levels = _plan_regular(inst)
-    return RegularReconstruction(inst, _checked_edges(segments, inst), levels, segments)
+    _check_plan(segments, inst)
+    return RegularReconstruction(inst, levels, segments)
 
 
 def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPlan, ...]]:
@@ -254,13 +264,9 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
     if not feas.feasible:
         raise ValueError(f"infeasible span-one instance ({feas.violated})")
     lifted, segments, levels = _plan_span_one(inst)
-    edges = _checked_edges(segments, inst)
-    degrees = Counter(chain.from_iterable(edges))
-    if tuple(map(degrees.__getitem__, range(1, inst.n + 1))) != inst.degree_vector():
-        raise ConstructionInvariantError("column sums missed the target vector", inst)
+    _check_plan(segments, inst)
     return SpanOneReconstruction(
         instance=inst,
-        edges=edges,
         lifted_rows=lifted.m,
         lifted_degree=lifted.v,
         rows_deleted=lifted.m - inst.m,
@@ -313,6 +319,74 @@ def _lifted(inst: SpanOneInstance) -> RegularInstance:
     return RegularInstance(n=n, m=lifted_ones // h, h=h, v=lifted_ones // n)
 
 
+def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstance) -> None:
+    """Check the witness a plan spells without building a row or an edge:
+    m rows, each of n columns and h ones, pairwise distinct, with the
+    instance's degree vector as column sums, in column order.
+
+    A segment whose shifts are `range(p)`, p its word's period, is a full
+    rotation class: p distinct rows adding h*p/n to every column. Its word
+    is a Lyndon word tiled n/p times, as `gen_lyndon` yields them, so two
+    full classes are one class only when their words are equal. Any other
+    segment (a coset block, or the span-one cut) lists rotations of its
+    level's reserved word (0^(p-e) 1^e)^(n/p), e = h*p/n: each row is that
+    word rotated by the word's offset in it plus the shift, mod p. Those
+    rotations must be distinct and their class taken by no full class; the
+    row at rotation s has its ones in columns [p-e-s, p-s) mod p, tiled.
+    A plan this cannot show distinct is reported as parallel edges."""
+    n, h = inst.n, inst.h
+    words = list(map(itemgetter(0), segments))
+    shifts = list(map(itemgetter(1), segments))
+    rows = sum(map(len, shifts))
+    if rows != inst.m:
+        raise ConstructionInvariantError(f"built {rows} edges, expected {inst.m}", inst)
+    if set(map(len, words)) - {n}:
+        raise ConstructionInvariantError("built a vertex outside 1..n", inst)
+    if set(map(str.count, words, repeat("1"))) - {h}:
+        raise ConstructionInvariantError(f"built an edge not of size {h}", inst)
+    periods = list(map(str.find, map(str.__add__, words, words), words, repeat(1)))
+    is_class = list(map(isinstance, shifts, repeat(range)))
+    classes = list(compress(words, is_class))  # the word of each full rotation class
+    class_shifts = list(compress(shifts, is_class))
+    class_periods = list(compress(periods, is_class))
+    if class_shifts != list(map(range, class_periods)):
+        # More rotations than the period repeat rows; fewer leave the columns uneven.
+        more = next(len(s) > p for s, p in zip(class_shifts, class_periods) if s != range(p))
+        raise ConstructionInvariantError(
+            "built parallel edges" if more else "column sums missed the target vector", inst
+        )
+    uniform = h * sum(class_periods) // n  # what the full classes add to every column
+    # Per reserved word and its period p, the rotations of it that are rows.
+    rotations: dict[tuple[str, int], list[int]] = {}
+    for word, listed, period in compress(zip(words, shifts, periods), map(not_, is_class)):
+        reserved = _coset_block(period, h * period // n, 0)[0] * (n // period)
+        offset = (reserved + reserved).find(word)
+        if offset < 0:
+            raise ConstructionInvariantError("built parallel edges", inst)
+        rotations.setdefault((reserved, period), []).extend([(offset + k) % period for k in listed])
+    taken = set(classes)
+    if len(taken) != len(classes) or any(
+        reserved in taken or len(set(found)) != len(found)
+        for (reserved, _), found in rotations.items()
+    ):
+        raise ConstructionInvariantError("built parallel edges", inst)
+    sums = [uniform] * n
+    for (_, period), found in rotations.items():
+        ones = h * period // n
+        # Each row's ones are one run, starting at most p-1 columns in: a
+        # difference array over 2p columns, folded back onto p.
+        diff = [0] * (2 * period + 1)
+        for s in found:
+            start = (period - ones - s) % period
+            diff[start] += 1
+            diff[start + ones] -= 1
+        runs = list(accumulate(diff))
+        added = list(map(int.__add__, runs[:period], runs[period : 2 * period]))
+        sums = list(map(int.__add__, sums, added * (n // period)))
+    if tuple(sums) != inst.degree_vector():
+        raise ConstructionInvariantError("column sums missed the target vector", inst)
+
+
 def _edges(segments: list[_Segment]) -> _Edges:
     """Each row's sorted 1-based one-positions, in row order, without
     building the row: the row of shift k holds the ones at positions k+1 ..
@@ -354,16 +428,15 @@ def _edges(segments: list[_Segment]) -> _Edges:
 
 
 def _checked_edges(segments: list[_Segment], inst: RegularInstance | SpanOneInstance) -> _Edges:
-    """The plan's edges, checked once: exactly m of them, each of size h,
-    no two equal, every vertex in 1..n. `_edges` yields each edge sorted and
-    without repeats, so its first and last vertex bound the rest."""
+    """The plan's edges, checked in O(m) at C speed: exactly m of them, each
+    of size h, every vertex in 1..n. `_edges` yields each edge sorted and
+    without repeats, so its first and last vertex bound the rest; that no two
+    are equal `_check_plan` has shown on the plan."""
     edges = _edges(segments)
     if len(edges) != inst.m:
         raise ConstructionInvariantError(f"built {len(edges)} edges, expected {inst.m}", inst)
     if set(map(len, edges)) - {inst.h}:
         raise ConstructionInvariantError(f"built an edge not of size {inst.h}", inst)
-    if len(set(edges)) != len(edges):
-        raise ConstructionInvariantError("built parallel edges", inst)
     # h == 0 gives one empty edge, which has no vertex to bound.
     if inst.h and edges and (
         min(map(itemgetter(0), edges)) < 1 or max(map(itemgetter(-1), edges)) > inst.n

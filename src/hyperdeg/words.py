@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 
-_DROP_BINARY = str.maketrans("", "", "01")
 _NOT_BINARY = re.compile("[^01]")
 
 
@@ -128,9 +127,13 @@ class BinaryMatrix:
         if n < 1:
             raise ValueError("matrix needs at least one column")
         # C-level passes over blocks of joined rows; only a failing block is
-        # walked row by row. The translate copies its block, so blocks stay small.
+        # walked row by row. The encode copies its block, so blocks stay small;
+        # it turns every non-ASCII symbol, lone surrogates too, into '?', which
+        # the bytes translate keeps as it drops each '0' and '1'.
         for start, block in _row_blocks(rows, n, 1 << 16):
-            if set(map(len, block)) != {n} or "".join(block).translate(_DROP_BINARY):
+            if set(map(len, block)) != {n} or "".join(block).encode(
+                "ascii", "replace"
+            ).translate(None, b"01"):
                 for i, row in enumerate(block, start + 1):
                     problem = _bad_symbol(row)
                     if problem:

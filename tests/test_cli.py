@@ -66,6 +66,28 @@ class TestGen:
         )
         assert code == 0 and out.split() == ["000000111", "000001011"]
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_no_words_pulls_none(self, limit):
+        # Lyndon generation recurses to depth n; at n = 1500 pulling even one
+        # word overflows the stack, so this passes only if none is pulled.
+        argv = ("gen", "--n", "1500", "--h", "3", "--kind", "lyndon", "--limit", limit)
+        assert call(*argv) == (0, "", "")
+
+    @pytest.mark.parametrize("limit", [1, 2, 5])
+    def test_pulls_exactly_the_limit(self, monkeypatch, limit):
+        words = ["001", "010", "100", "011", "101", "110"]
+        pulled = []
+
+        def spy(n, h):
+            for word in words:
+                pulled.append(word)
+                yield word
+
+        monkeypatch.setitem(cli._WORDS, "lyndon", (cli.count_lyndon, spy))
+        argv = ("gen", "--n", "3", "--h", "1", "--kind", "lyndon", "--limit", str(limit))
+        code, out, _ = call(*argv)
+        assert code == 0 and out.split() == pulled == words[:limit]
+
 
 class TestCheck:
     def test_feasible_span_one(self, capsys):
@@ -213,10 +235,15 @@ class TestRowsFromThePlan:
     """The matrix formats are written from the checked plan, a segment at a
     time; their bytes are those of the construction's matrix."""
 
-    def test_every_small_instance_matches_its_matrix(self, tmp_path):
+    def test_every_small_instance_matches_its_matrix(self, tmp_path, monkeypatch):
+        # Each instance is built once: its expected rendering and the six CLI
+        # calls on it share that build. Each --output file is read and then
+        # removed, so every call creates its file anew; truncating a file
+        # costs far more than creating one on some file systems.
         path = tmp_path / "rows"
         instances = [inst for inst in feasible_regular_instances(10) if inst.h]
         instances += feasible_span_one_instances(10)
+        assert len(instances) == 2091
         assert any(inst.m == 0 for inst in instances)  # no rows: a lone newline
         for inst in instances:
             if isinstance(inst, RegularInstance):
@@ -225,12 +252,19 @@ class TestRowsFromThePlan:
             else:
                 built = rec_span_one_with_plan(inst)
                 source = ("--degrees", ",".join(map(str, inst.degree_vector())))
+
+            def shared(instance, inst=inst, built=built):
+                assert instance == inst
+                return built
+
+            monkeypatch.setitem(cli._BUILDERS, type(inst), shared)
             expected = _renderings(built.matrix, inst.h, built.plan_json())
             for fmt, text in expected.items():
                 argv = ("reconstruct", "--h", str(inst.h), *source, "--format", fmt)
                 assert call(*argv) == (0, text, ""), argv
                 assert call(*argv, "--output", str(path)) == (0, "", ""), argv
                 assert path.read_text(encoding="utf-8") == text, argv
+                path.unlink()
 
     def test_bipartite_shares_the_row_writer(self, tmp_path):
         path = tmp_path / "rows"
@@ -257,8 +291,24 @@ class TestRowsFromThePlan:
         for argv, result in zip(argvs, expected):
             assert result[0] == 0 and call(*argv) == result, argv
 
+    @pytest.mark.parametrize(
+        "source", [("--n", "9", "--v", "5"), ("--degrees", "5,5,5,4,4,4,4,4,4")]
+    )
+    def test_matrix_formats_emit_no_edges(self, monkeypatch, source):
+        def no_edges(segments):
+            raise AssertionError("reconstruct emitted edges")
+
+        formats = ("lines", "csv", "json")
+        argvs = [("reconstruct", "--h", "3", *source, "--format", fmt) for fmt in formats]
+        expected = [call(*argv) for argv in argvs]
+        monkeypatch.setattr(reconstruct, "_edges", no_edges)
+        for argv, result in zip(argvs, expected):
+            assert result[0] == 0 and call(*argv) == result, argv
+        code, out, err = call("reconstruct", "--h", "3", *source, "--format", "edges")
+        assert (code, out) == (3, "") and "reconstruct emitted edges" in err
+
     def test_lines_output_peaks_below_its_file_size(self, tmp_path):
-        # The rows are never held whole: the heap peak (edges, their check,
+        # The rows are never held whole: the heap peak (the plan, its check,
         # one class of rows) stays below the 6.9 MB the file takes.
         path = tmp_path / "rows"
         argv = ["reconstruct", "--h", "3", "--n", "600", "--v", "60", "--format", "lines"]

@@ -1,4 +1,7 @@
+import functools
 import math
+from collections import Counter
+from itertools import chain, filterfalse
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -44,6 +47,172 @@ def feasible_span_one_instances(max_n, max_v=None):
                     inst = SpanOneInstance(n, h, v, n0, n - n0)
                     if check_span_one(inst).feasible:
                         yield inst
+
+
+class _EdgeCheck:
+    """The reference for `reconstruct._check_plan`: the same properties,
+    checked on the emitted edges. Exactly m edges, each of size h, no two
+    equal (a set of all the edges), every vertex in 1..n, and the degree of
+    each vertex counted edge by edge.
+
+    A sweep over many instances meets the same segments again and again, so
+    each segment's edges, their set and their vertex counts are emitted once
+    and kept; an instance then joins its segments' sets and adds their
+    counts."""
+
+    def __init__(self):
+        self._segments = {}
+
+    def _emit(self, word, shifts):
+        edges = reconstruct._edges([(word, shifts)])
+        degrees = Counter(chain.from_iterable(edges))
+        return (
+            len(edges),
+            set(map(len, edges)),
+            frozenset(edges),
+            min(degrees, default=1),
+            max(degrees, default=1),
+            [degrees[vertex] for vertex in range(1, len(word) + 1)],
+        )
+
+    def problem(self, segments, inst):
+        """The message the edge check raised for this plan, or None."""
+        if not segments:
+            return None if inst.m == 0 else f"built 0 edges, expected {inst.m}"
+        keys = [seg if type(seg[1]) is range else (seg[0], tuple(seg[1])) for seg in segments]
+        for word, shifts in filterfalse(self._segments.__contains__, set(keys)):
+            self._segments[word, shifts] = self._emit(word, shifts)
+        counts, sizes, sets, lows, highs, degrees = zip(*map(self._segments.__getitem__, keys))
+        count = sum(counts)
+        if count != inst.m:
+            return f"built {count} edges, expected {inst.m}"
+        if set().union(*sizes) - {inst.h}:
+            return f"built an edge not of size {inst.h}"
+        if len(frozenset().union(*sets)) != count:
+            return "built parallel edges"
+        if min(lows) < 1 or max(highs) > inst.n:
+            return "built a vertex outside 1..n"
+        if tuple(map(sum, zip(*degrees))) != inst.degree_vector():
+            return "column sums missed the target vector"
+        return None
+
+
+def _plan_problem(segments, inst):
+    """The message `_check_plan` raises for this plan, or None."""
+    try:
+        reconstruct._check_plan(segments, inst)
+    except ConstructionInvariantError as error:
+        assert (error.instance, error.divisor) == (inst, None)
+        return str(error).removesuffix(f" of {inst}")
+    return None
+
+
+# Plans of (9, 15, 3, 5): one full class, then both coset blocks of 000000111;
+# and of (6, 15, 2, 5): three full classes, the last of period 3.
+_BLOCKS = [("000001011", range(9)), ("000000111", [0, 3, 6]), ("100000011", [0, 3, 6])]
+_CLASSES = [("000011", range(6)), ("000101", range(6)), ("001001", range(3))]
+
+
+class TestPlanCheck:
+    """`_check_plan` proves a witness valid from its plan, segment by
+    segment; it must accept what the edge check accepts and refuse what it
+    refuses."""
+
+    def test_agrees_with_the_edge_check_on_every_instance_up_to_14(self, monkeypatch):
+        # 32,885 instances with 27 million edges between them: each segment's
+        # edges are emitted once, and each Lyndon stream generated once
+        # (test_necklaces checks the streams against brute force).
+        generate = reconstruct.gen_lyndon
+        streams = functools.cache(lambda n, d: tuple(generate(n, d)))
+        monkeypatch.setattr(reconstruct, "gen_lyndon", lambda n, d: iter(streams(n, d)))
+        reference = _EdgeCheck()
+        checked = 0
+        for inst in feasible_regular_instances(14):
+            segments, _ = reconstruct._plan_regular(inst)
+            assert _plan_problem(segments, inst) is reference.problem(segments, inst) is None, inst
+            checked += 1
+        for inst in feasible_span_one_instances(14):
+            _, segments, _ = reconstruct._plan_span_one(inst)
+            assert _plan_problem(segments, inst) is reference.problem(segments, inst) is None, inst
+            checked += 1
+        assert checked == 32_885
+
+    @pytest.mark.parametrize(
+        "inst, segments, message",
+        [
+            (RegularInstance(9, 15, 3, 5), _BLOCKS[:2], "built 12 edges, expected 15"),
+            (RegularInstance(6, 15, 2, 5), _CLASSES[1:], "built 9 edges, expected 15"),
+            # A class or a block twice, in place of the segment after it.
+            (RegularInstance(6, 15, 2, 5), _CLASSES[:1] * 2 + _CLASSES[2:], "built parallel edges"),
+            (RegularInstance(9, 15, 3, 5), _BLOCKS[:2] + _BLOCKS[1:2], "built parallel edges"),
+            # One shift of a block moved: onto a row of block 0, or off the
+            # block's coset, which keeps the rows distinct but the columns not.
+            (
+                RegularInstance(9, 15, 3, 5),
+                _BLOCKS[:2] + [("100000011", [0, 3, 7])],
+                "built parallel edges",
+            ),
+            (
+                RegularInstance(9, 15, 3, 5),
+                _BLOCKS[:2] + [("100000011", [0, 3, 5])],
+                "column sums missed the target vector",
+            ),
+            # A block's word rotated into the full class, or onto block 0.
+            (
+                RegularInstance(9, 15, 3, 5),
+                _BLOCKS[:2] + [(cyclic_shift("000001011", 1), [0, 3, 6])],
+                "built parallel edges",
+            ),
+            (
+                RegularInstance(9, 15, 3, 5),
+                _BLOCKS[:2] + [(cyclic_shift("000000111", 3), [0, 3, 6])],
+                "built parallel edges",
+            ),
+            # One rotation short of the period, made up by a row of a class
+            # not taken: as many distinct rows, uneven columns.
+            (
+                RegularInstance(6, 6, 2, 2),
+                [("000011", range(5)), ("000101", [0])],
+                "column sums missed the target vector",
+            ),
+            # One rotation past the period: shift 3 of 001001 is shift 0.
+            (
+                RegularInstance(6, 15, 2, 5),
+                [("000011", range(6)), ("001001", range(4)), ("000101", range(5))],
+                "built parallel edges",
+            ),
+        ],
+        ids=[
+            "dropped-block",
+            "dropped-class",
+            "duplicated-class",
+            "duplicated-block",
+            "block-shift-onto-a-row",
+            "block-shift-off-its-coset",
+            "block-rotated-into-a-full-class",
+            "block-rotated-onto-block-0",
+            "range-short-of-the-period",
+            "range-past-the-period",
+        ],
+    )
+    def test_refuses_what_the_edge_check_refuses(self, inst, segments, message):
+        assert _plan_problem(segments, inst) == message
+        assert _EdgeCheck().problem(segments, inst) is not None
+
+    def test_the_unmutated_plans_pass(self):
+        plans = [(RegularInstance(9, 15, 3, 5), _BLOCKS), (RegularInstance(6, 15, 2, 5), _CLASSES)]
+        for inst, segments in plans:
+            assert reconstruct._plan_regular(inst)[0] == segments
+            assert _plan_problem(segments, inst) is _EdgeCheck().problem(segments, inst) is None
+
+    def test_builds_no_row_and_no_edge(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the plan check built rows or edges")
+
+        monkeypatch.setattr(reconstruct, "_rotations", refuse)
+        monkeypatch.setattr(reconstruct, "_edges", refuse)
+        rec_regular_with_plan(RegularInstance(9, 15, 3, 5))
+        rec_span_one_with_plan(SpanOneInstance(9, 3, 5, 3, 6))
 
 
 class TestRecRegularWorkedExamples:

@@ -228,6 +228,19 @@ class TestBinaryMatrix:
             BinaryMatrix(rows, 1000)
         assert len(str(info.value)) < 200
 
+    @pytest.mark.parametrize(
+        "symbol", ["\u00e9", "\ud800", "\u0663"], ids=["non-ascii", "lone-surrogate", "digit"]
+    )
+    def test_non_ascii_symbol_gets_the_row_and_column(self, symbol):
+        # The block check encodes its rows to ASCII; whatever does not encode
+        # must still fail, and be named with its row and column.
+        rows = ("0101", "01" + symbol + "1")
+        with pytest.raises(ValueError) as info:
+            BinaryMatrix(rows, 4)
+        assert str(info.value) == (
+            f"row 2 has symbol {symbol!r} at column 3; only '0' and '1' are allowed: {rows[1]!r}"
+        )
+
     def test_sums_and_renderers(self):
         m = BinaryMatrix(("0011", "1100"), 4)
         assert m.row_sums() == (2, 2)
