@@ -112,8 +112,22 @@ def _generate(n: int, d: int, lyndon: bool) -> Iterator[str]:
     # position makes the output order lexicographic; a leaf at depth n is a
     # necklace when its longest-prefix period p divides n, and a Lyndon word
     # when p == n. The density class is checked at the call, not at the first word.
+    #
+    # A node that already holds all d >= 1 ones but not all n symbols is cut:
+    # the word would end in 0, and a necklace with a 1 ends in 1 (rotating a
+    # trailing 0 to the front gives a smaller word). Without that cut each
+    # placement of the last one walks O(n) zeros to a leaf it then rejects;
+    # with it (n, 2) visits Theta(n^2) nodes, not Theta(n^3).
+    #
+    # The walk stays over bits, one frame per position: the first word,
+    # 0^(n-d) 1^d, nests n + 1 frames, so n stays capped just below the
+    # recursion limit. A walk over the d gaps between ones would lift that
+    # cap, and with it change which long instances build.
     _check_density_class(n, d)
-    word = bytearray(n + 1)  # word[0] is the sentinel read by the copy step
+    zero, one = ord("0"), ord("1")
+    # ASCII '0'/'1' symbols, so a leaf is emitted by one C-level decode;
+    # word[0] is the sentinel read by the copy step.
+    word = bytearray(b"0" * (n + 1))
 
     def extend(t: int, p: int, ones: int) -> Iterator[str]:
         if ones > d or d - ones > n - t + 1:
@@ -121,13 +135,15 @@ def _generate(n: int, d: int, lyndon: bool) -> Iterator[str]:
         if t > n:
             emit = (p == n) if lyndon else (n % p == 0)
             if emit:
-                yield "".join("01"[b] for b in word[1:])
+                yield word[1:].decode()
+            return
+        if ones == d and d:
             return
         copied = word[t - p]
         word[t] = copied
-        yield from extend(t + 1, p, ones + copied)
-        if copied == 0:
-            word[t] = 1
+        yield from extend(t + 1, p, ones + (copied == one))
+        if copied == zero:
+            word[t] = one
             yield from extend(t + 1, t, ones + 1)
 
     return extend(1, 1, 0)

@@ -95,11 +95,7 @@ def cyclic_shift(w: str, k: int = 1) -> str:
 def period(w: str) -> int:
     """Smallest p >= 1 with cyclic_shift(w, p) == w; always divides len(w)."""
     _check_word(w)
-    n = len(w)
-    for p in range(1, n):
-        if n % p == 0 and w == w[p:] + w[:p]:
-            return p
-    return n
+    return (w + w).find(w, 1)
 
 
 def canonical(w: str) -> str:

@@ -1,10 +1,12 @@
 import math
+import sys
 from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperdeg import necklaces
 from hyperdeg.necklaces import (
     binomial,
     common_divisors,
@@ -98,6 +100,30 @@ class TestCounting:
             count_lyndon(4, -1)
 
 
+def _reference_generate(n, d, lyndon):
+    """The reference for `necklaces._generate`: the same FKM recursion
+    without the cut at the last one, each leaf joined symbol by symbol."""
+    necklaces._check_density_class(n, d)
+    word = bytearray(n + 1)  # word[0] is the sentinel read by the copy step
+
+    def extend(t, p, ones):
+        if ones > d or d - ones > n - t + 1:
+            return
+        if t > n:
+            emit = (p == n) if lyndon else (n % p == 0)
+            if emit:
+                yield "".join("01"[b] for b in word[1:])
+            return
+        copied = word[t - p]
+        word[t] = copied
+        yield from extend(t + 1, p, ones + copied)
+        if copied == 0:
+            word[t] = 1
+            yield from extend(t + 1, t, ones + 1)
+
+    return extend(1, 1, 0)
+
+
 class TestGeneration:
     def test_documented_streams(self):
         assert list(gen_lyndon(6, 2)) == ["000011", "000101"]
@@ -112,6 +138,45 @@ class TestGeneration:
             for d in range(n + 1):
                 assert list(gen_necklaces(n, d)) == brute_necklaces(n, d), (n, d)
                 assert list(gen_lyndon(n, d)) == brute_lyndon(n, d), (n, d)
+
+    def test_matches_the_reference_up_to_18(self):
+        for n in range(1, 19):
+            for d in range(n + 1):
+                assert list(gen_lyndon(n, d)) == list(_reference_generate(n, d, True)), (n, d)
+                assert list(gen_necklaces(n, d)) == list(_reference_generate(n, d, False)), (n, d)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 150, 299, 300, 301, 599, 600])
+    def test_closed_forms_of_long_words(self, n):
+        # Density 2: 0^a 1 0^b 1 with a + b = n - 2, by decreasing a; Lyndon
+        # words need a > b, necklaces a >= b. Density 1: 0^(n-1) 1 alone.
+        gaps = [(a, n - 2 - a) for a in range(n - 2, -1, -1)]
+
+        def word(a, b):
+            return "0" * a + "1" + "0" * b + "1"
+
+        assert list(gen_lyndon(n, 2)) == [word(a, b) for a, b in gaps if a > b]
+        assert list(gen_necklaces(n, 2)) == [word(a, b) for a, b in gaps if a >= b]
+        assert list(gen_lyndon(n, 1)) == list(gen_necklaces(n, 1)) == ["0" * (n - 1) + "1"]
+
+    def test_work_grows_as_n_squared_at_density_2(self):
+        # Each call of the inner recursion, first entry or resumption, is
+        # one profile event; cutting below the last one keeps (n, 2) to
+        # O(n^2) of them, where walking on to each rejected leaf takes O(n^3).
+        n, calls = 200, 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            if event == "call" and code.co_name == "extend" and code.co_filename == necklaces.__file__:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            words = list(gen_lyndon(n, 2))
+        finally:
+            sys.setprofile(None)
+        assert len(words) == count_lyndon(n, 2)
+        assert calls <= 2 * n * n, calls
 
     def test_stream_lengths_match_counts_up_to_16(self):
         for n in range(1, 17):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -70,6 +71,15 @@ class TestPeriod:
         p = period(w)
         assert len(w) % p == 0
         assert len(set(rotations(w))) == p
+
+    def test_matches_the_shift_loop_up_to_12(self):
+        def by_shifts(w):
+            n = len(w)
+            return next(p for p in range(1, n + 1) if n % p == 0 and w == w[p:] + w[:p])
+
+        for n in range(1, 13):
+            for w in map("".join, product("01", repeat=n)):
+                assert period(w) == by_shifts(w), w
 
     @given(words)
     def test_smallest_fixed_shift(self, w):
