@@ -82,13 +82,14 @@ def _output(path: str | None) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-# Per output format: the text of one row ('0'/'1' symbols, or for `edges` one
-# edge's vertices), and what separates two rows.
+# Per output format: the text of one row of h ones ('0'/'1' symbols, or for
+# `edges` one edge's vertices, through one "%d" per vertex), and what
+# separates two rows.
 _FORMATS = {
-    "lines": (str, "\n"),
-    "csv": (lambda row: row.replace("", ",")[1:-1], "\n"),
-    "json": ('"{}"'.format, ", "),
-    "edges": (lambda edge: " ".join(map(str, edge)), "\n"),
+    "lines": (lambda h: str, "\n"),
+    "csv": (lambda h: lambda row: row.replace("", ",")[1:-1], "\n"),
+    "json": (lambda h: '"{}"'.format, ", "),
+    "edges": (lambda h: " ".join(["%d"] * h).__mod__, "\n"),
 }
 
 
@@ -104,7 +105,8 @@ def _write_built(
     at a time; the bytes are those of the whole output rendered at once, so
     no rows give a lone newline."""
     inst = built.instance
-    row_text, sep = _FORMATS[fmt]
+    text_of, sep = _FORMATS[fmt]
+    row_text = text_of(inst.h)
     with _output(path) as out:
         if fmt == "json":
             out.write(json.dumps({"n": inst.n, "m": inst.m, "h": inst.h})[:-1] + ', "rows": [')

@@ -28,10 +28,14 @@ size and vertex range, and the '0'/'1' rows as `matrix` or `row_blocks`.
 Edges are emitted in runs. Across a range of shifts, the window of a word's
 one-positions that makes up a row moves only when the shift passes the next
 one-position; in between, each edge is the previous one moved down by one.
-A run of at least `_RUN` shifts is emitted as `zip` over one descending range
-per vertex of its window, so the tuples are built in C; shorter runs, coset
-blocks and span-one edits (whose shifts are lists) and the empty word of
-h = 0 are emitted row by row.
+Rows are built three ways, chosen by the word's length n and the run's length
+alone. A run of at least `_RUN` shifts is emitted as `zip` over one
+descending range per vertex of its window, so the tuples are built in C.
+Shorter runs, coset blocks and the span-one cut (whose shifts are lists),
+and the empty rows of h = 0 are emitted row by row: for n <= 255 by
+translating the window, packed one byte per vertex, through a table that
+subtracts the shift, also in C; for longer words by one subtraction per
+vertex.
 
 The span-one build lifts the instance to the smallest strictly larger
 homogeneous one whose total fits the divisibility constraints, plans that,
@@ -44,10 +48,11 @@ one further, so the columns already descend by sum and are never reordered.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat, starmap
+from itertools import accumulate, chain, compress, islice, repeat, starmap
 from operator import itemgetter, not_
 
 from .feasibility import (
@@ -80,6 +85,11 @@ _Edges = tuple[tuple[int, ...], ...]
 # Shortest run of shifts that `_edges` emits through `zip`: below it, the
 # per-row comprehension was faster in a microbenchmark over run lengths.
 _RUN = 4
+
+# _MINUS[j] maps each byte b to (b - j) mod 256: translating a row's window
+# of one-positions, packed mod 256, through it subtracts the shift j.
+_BYTES = bytes(range(256))
+_MINUS = tuple(_BYTES[-j:] + _BYTES[:-j] for j in range(256))
 
 
 class ConstructionInvariantError(RuntimeError):
@@ -220,10 +230,10 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
         reserved_offset: int | None = None
         taken = 0
         # A Lyndon word is aperiodic, so its d-fold tiling has `length`
-        # distinct rotations: the rows of shift_matrix(word * d).
-        for word in gen_lyndon(length, dens):
-            if taken == q:
-                break
+        # distinct rotations: the rows of shift_matrix(word * d). The
+        # reserved word is the least Lyndon word, so the first pulled: a
+        # level that fills pulls it and skips it.
+        for word in islice(gen_lyndon(length, dens), q + fill_here):
             if word == reserved:
                 if fill_here:
                     continue
@@ -390,40 +400,55 @@ def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstanc
 def _edges(segments: list[_Segment]) -> _Edges:
     """Each row's sorted 1-based one-positions, in row order, without
     building the row: the row of shift k holds the ones at positions k+1 ..
-    k+n of the doubled word, moved down by k.
+    k+n of the doubled word, moved down by k. The window of shift k starts
+    after the ones left of position k.
 
     A range of shifts is walked as runs over which that window stays put:
-    the window of shift k starts after the ones left of position k, so it
-    moves only at the next one-position. A run of at least `_RUN` rows is
-    emitted by `zip` over one descending range per window vertex, which
-    builds the tuples in C; shorter runs, lists of shifts and the empty
-    word of h = 0 are emitted row by row."""
+    it moves only at the next one-position. Lists of shifts (coset blocks,
+    the span-one cut) and the empty word of h = 0 are taken row by row.
+    Rows are built three ways:
+    - a run of at least `_RUN` rows by `zip` over one descending range per
+      window vertex, which builds the tuples in C;
+    - shorter runs and listed rows of a word of length n <= 255 by
+      translating the window, packed one byte per vertex mod 256, through
+      `_MINUS[k]`, also in C; the result is exact, as every vertex lies in
+      1..n;
+    - those rows of longer words by one subtraction per vertex."""
     edges: list[tuple[int, ...]] = []
     for word, shifts in segments:
         n = len(word)
-        is_one = list(map("1".__eq__, word))
-        ones = list(compress(range(1, n + 1), is_one))
+        # The word's '0'/'1' bytes less ord("0") are its bits.
+        ones = list(compress(range(1, n + 1), word.encode().translate(_MINUS[ord("0")])))
         doubled = ones + [p + n for p in ones]
-        # start[k], the number of ones left of position k, is where the
-        # window of shift k begins in `doubled`; every shift is below n.
-        start = list(accumulate(is_one, initial=0))
         h = len(ones)
+        packed = bytes([p & 255 for p in doubled]) if n < 256 else None
         if not (h and isinstance(shifts, range) and shifts.step == 1):
-            edges.extend(
-                [tuple([p - k for p in doubled[start[k] : start[k] + h]]) for k in shifts]
-            )
+            starts = map(bisect_right, repeat(ones), shifts)
+            if packed is None:
+                edges.extend(
+                    [tuple([p - k for p in doubled[s : s + h]]) for k, s in zip(shifts, starts)]
+                )
+            else:
+                edges.extend(
+                    [tuple(packed[s : s + h].translate(_MINUS[k])) for k, s in zip(shifts, starts)]
+                )
             continue
         k, stop = shifts.start, shifts.stop
+        s = word.count("1", 0, k)
         while k < stop:
-            s = start[k]
             # The window moves on at the next one-position, doubled[s].
-            end = min(doubled[s], stop)
-            window = doubled[s : s + h]
+            end = doubled[s]
+            if end > stop:
+                end = stop
             if end - k >= _RUN:
-                edges.extend(zip(*[range(x - k, x - end, -1) for x in window]))
-            else:
+                edges.extend(zip(*[range(x - k, x - end, -1) for x in doubled[s : s + h]]))
+            elif packed is None:
+                window = doubled[s : s + h]
                 edges.extend([tuple([p - j for p in window]) for j in range(k, end)])
+            else:
+                edges.extend(map(tuple, map(packed[s : s + h].translate, _MINUS[k:end])))
             k = end
+            s += 1
     return tuple(edges)
 
 

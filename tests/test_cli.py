@@ -202,6 +202,22 @@ class TestReconstruct:
         assert code == 0
         assert out.splitlines() == ["3 4", "1 2"]
 
+    @pytest.mark.parametrize("h", range(6))
+    def test_edge_text_is_the_decimal_vertices(self, h):
+        edge_text = cli._FORMATS["edges"][0](h)
+        for edge in [tuple(range(1, h + 1)), tuple(range(995, 995 + 2 * h, 2))]:
+            assert edge_text(edge) == " ".join(map(str, edge))
+
+    @pytest.mark.parametrize(
+        "instance",
+        [RegularInstance(4, 0, 2, 0), RegularInstance(9, 15, 3, 5), RegularInstance(120, 420, 2, 7)],
+    )
+    def test_edges_format_writes_each_edge(self, instance):
+        edges = rec_regular_with_plan(instance).edges
+        argv = ("--h", str(instance.h), "--n", str(instance.n), "--v", str(instance.v))
+        text = "\n".join(" ".join(map(str, edge)) for edge in edges) + "\n"
+        assert call("reconstruct", *argv, "--format", "edges") == (0, text, "")
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "reconstruct", "--h", "2", "--n", "4", "--v", "1", "--format", "csv"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hyperdeg import reconstruct
 from hyperdeg.feasibility import RegularInstance, SpanOneInstance, check_regular, check_span_one
 from hyperdeg.hypergraphs import from_incidence, realize
-from hyperdeg.necklaces import binomial
+from hyperdeg.necklaces import binomial, gen_lyndon
 from hyperdeg.reconstruct import (
     ConstructionInvariantError,
     rec_regular_with_plan,
@@ -295,6 +295,22 @@ class TestConstructionInvariantError:
         assert str(info.value) == f"column sums missed the target vector of {inst}"
 
 
+class _Counted:
+    """A word stream that counts the words pulled from it."""
+
+    def __init__(self, length, density, words):
+        self.length, self.density, self.pulled = length, density, 0
+        self._words = words
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        word = next(self._words)
+        self.pulled += 1
+        return word
+
+
 class TestRecRegularSweep:
     def test_all_feasible_instances_verify(self):
         for inst in feasible_regular_instances(10):
@@ -308,6 +324,22 @@ class TestRecRegularSweep:
     def test_determinism(self):
         inst = RegularInstance(10, 36, 5, 18)
         assert rec_regular_with_plan(inst).matrix == rec_regular_with_plan(inst).matrix
+
+    def test_each_level_pulls_exactly_the_words_it_uses(self, monkeypatch):
+        # A level pulls the words of its full classes and, when it fills with
+        # coset blocks, the reserved word it skips: no word goes unused.
+        streams = []
+
+        def spy(length, density):
+            streams.append(_Counted(length, density, gen_lyndon(length, density)))
+            return streams[-1]
+
+        monkeypatch.setattr(reconstruct, "gen_lyndon", spy)
+        for inst in chain(feasible_regular_instances(12), feasible_span_one_instances(12)):
+            streams.clear()
+            levels = reconstruct._BUILDERS[type(inst)](inst).levels
+            used = [(l.length, l.density, l.full_words + (l.partial_blocks > 0)) for l in levels]
+            assert [(s.length, s.density, s.pulled) for s in streams] == used, inst
 
     def test_at_most_one_partial_fill_level(self):
         for inst in feasible_regular_instances(9):
@@ -508,24 +540,35 @@ def _naive_edges(segments):
 
 @st.composite
 def _segment(draw):
-    """A word of length <= 60 at any density, tiled up to three times, with
-    shifts given as the full range, a range from a later start, or a list in
-    any order."""
-    length = draw(st.integers(1, 60))
+    """A word of length <= 300 at any density, tiled up to three times
+    within that length, with shifts given as the full range, a range from a
+    later start, a list in any order, or every step-th shift from a start,
+    as coset blocks list them."""
+    length = draw(st.integers(1, 300))
     density = draw(st.integers(0, length))
     ones = set(draw(st.permutations(range(length)))[:density])
-    word = "".join("1" if i in ones else "0" for i in range(length)) * draw(st.integers(1, 3))
+    tiles = draw(st.integers(1, min(3, 300 // length)))
+    word = "".join("1" if i in ones else "0" for i in range(length)) * tiles
     n = len(word)
-    kind = draw(st.sampled_from(["full", "from", "list"]))
+    kind = draw(st.sampled_from(["full", "from", "list", "coset"]))
     if kind == "full":
         return word, range(n)
     if kind == "from":
         first = draw(st.integers(1, n))
         return word, range(first, draw(st.integers(first, n)))
+    if kind == "coset":
+        step = draw(st.integers(1, n))
+        return word, list(range(draw(st.integers(0, step - 1)), n, step))
     return word, draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
 
 
 _RUN = reconstruct._RUN
+
+
+def _spaced(n):
+    """A word of length n with its ones _RUN - 1 apart: its range of shifts
+    walks in runs one row short of `zip`."""
+    return (("1" + "0" * (_RUN - 2)) * n)[:n]
 
 
 class TestEdgesFromPlan:
@@ -537,5 +580,16 @@ class TestEdgesFromPlan:
     @example(segments=[("0000000", range(7)), ("0000000", [3, 1])])  # h = 0
     @example(segments=[("11111", range(5)), ("11111", range(1, 3))])  # h = n
     @example(segments=[("000111" * 3, [0, 3, 6]), ("001" * 9, range(3))])
+    # The longest words whose rows are translated as bytes, and the shortest
+    # that are not: runs one row short of zip, and every shift listed.
+    @example(segments=[(_spaced(255), range(255)), (_spaced(255), list(range(254, -1, -1)))])
+    @example(segments=[(_spaced(256), range(256)), (_spaced(256), list(range(255, -1, -1)))])
     def test_edges_are_the_one_positions_of_each_rotated_row(self, segments):
         assert reconstruct._edges(segments) == _naive_edges(segments)
+
+    def test_each_table_subtracts_its_shift_exactly(self):
+        # At shift j < n of a word with n <= 255, a row's one-positions p lie
+        # in j+1 .. j+n and are packed as p mod 256; the table gives p - j.
+        for j in range(255):
+            packed = bytes([p & 255 for p in range(j + 1, j + 256)])
+            assert packed.translate(reconstruct._MINUS[j]) == bytes(range(1, 256))
