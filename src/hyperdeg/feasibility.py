@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import index
 
 from .necklaces import binomial
 
@@ -32,6 +33,16 @@ __all__ = [
 ]
 
 
+def _require_integers(instance: RegularInstance | SpanOneInstance, fields: tuple) -> None:
+    """Refuse an instance with a field `operator.index` refuses, such as the
+    m = 5.0 that float degrees give. The fields are passed in: `vars` would
+    give every instance a dict of its own."""
+    try:
+        list(map(index, fields))
+    except TypeError:
+        raise ValueError(f"instance fields must be integers: {instance!r}") from None
+
+
 @dataclass(frozen=True)
 class RegularInstance:
     """Homogeneous projections: m rows of sum h over n columns of sum v."""
@@ -42,6 +53,7 @@ class RegularInstance:
     v: int
 
     def __post_init__(self) -> None:
+        _require_integers(self, (self.n, self.m, self.h, self.v))
         if self.n < 1:
             raise ValueError("column count must be positive")
         if min(self.m, self.h, self.v) < 0:
@@ -63,6 +75,7 @@ class SpanOneInstance:
     n1: int
 
     def __post_init__(self) -> None:
+        _require_integers(self, (self.n, self.h, self.v, self.n0, self.n1))
         if self.n0 < 1 or self.n1 < 1:
             raise ValueError("both column-sum values must occur")
         if self.n0 + self.n1 != self.n:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import index
 
 from .feasibility import (
     Feasibility,
@@ -121,8 +122,15 @@ class RealizationResult:
 def realize(degrees: Iterable[int] | Sequence[int], h: int) -> RealizationResult:
     """Realize a degree sequence as an h-uniform hypergraph without parallel
     edges. Supported shapes are regular and span-one sequences, in any order:
-    vertices 1..n0 take the larger degree of a span-one sequence."""
-    check = check_degree_sequence(tuple(map(int, degrees)), h)
+    vertices 1..n0 take the larger degree of a span-one sequence. A degree
+    that is no integer, such as 2.5 or "3", raises ValueError."""
+    degrees = tuple(degrees)
+    try:
+        values = tuple(map(index, degrees))
+    except TypeError:
+        bad = next(x for x in degrees if not hasattr(x, "__index__"))
+        raise ValueError(f"degrees must be integers, got {bad!r}") from None
+    check = check_degree_sequence(values, h)
     if check.kind == "unsupported":
         return RealizationResult("unsupported", reason="span>1")
     assert check.result is not None

@@ -12,14 +12,16 @@ lexicographic word order, shifts in shift order, blocks last; identical
 inputs therefore produce bit-identical outputs.
 
 A build is planned before any row exists. The plan is a list of segments,
-each a word tiled to length n and the left rotations of it that are rows,
-plus one `LevelPlan` per level. `rec_*_with_plan`, the one construction call
-per degree class, checks the witness on its plan, one segment at a time, as
-the paper proves it valid (`_check_plan`): rows are distinct because each
-full class has its own Lyndon word and the rows of coset blocks and of the
-span-one cut are distinct rotations of their level's reserved word, and the
-column sums follow from each segment's word and shifts. That takes
-O(#segments * n) string operations in C; no row or edge is built for it.
+one per rotation class: the least word of the class tiled to length n, and
+the left rotations of it that are rows. A Lyndon word's class is taken
+whole; a level's reserved word lists its coset blocks' rotations, block 0
+first, in one segment. One `LevelPlan` per level records the counts.
+`rec_*_with_plan`, the one construction call per degree class, checks the
+witness on its plan, one segment at a time, as the paper proves it valid
+(`_check_plan`): rows are distinct because no two segments share a word and
+each segment's rotations are distinct, and the column sums follow from each
+segment's word and shifts. That takes O(#segments * n) string operations in
+C; no row or edge is built for it.
 
 Edges and rows are read off the checked plan only when asked for: `edges`
 (for `realize` and `--format edges`), with O(m) C-level checks of count,
@@ -40,9 +42,10 @@ vertex.
 The span-one build lifts the instance to the smallest strictly larger
 homogeneous one whose total fits the divisibility constraints, plans that,
 and cuts from the one segment whose word is the reserved 0^(n-h) 1^h (its
-whole rotation class, or coset block 0) the rows of its first shifts by
-multiples of h. They lower every column alike but the last n1, which drop
-one further, so the columns already descend by sum and are never reordered.
+whole rotation class, or its coset blocks, block 0 first) the rows of its
+first shifts by multiples of h. They lower every column alike but the last
+n1, which drop one further, so the columns already descend by sum and are
+never reordered.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ class _RendersRows:
 
     def row_blocks(self) -> Iterator[tuple[str, ...]]:
         """The '0'/'1' rows of `matrix`, one plan segment (a rotation class,
-        or a coset block) at a time, without building or checking `matrix`:
+        whole or in part) at a time, without building or checking `matrix`:
         the construction has checked the plan these rows are read from."""
         return starmap(_rotations, self._segments)
 
@@ -225,24 +228,18 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
         available = count_lyndon(length, dens)
         q = min(remaining // dens, available)
         fill_here = remaining - q * dens > 0 and q < available
-        reserved, _ = _coset_block(length, dens, 0)
         offset = nrows
-        reserved_offset: int | None = None
-        taken = 0
         # A Lyndon word is aperiodic, so its d-fold tiling has `length`
         # distinct rotations: the rows of shift_matrix(word * d). The
         # reserved word is the least Lyndon word, so the first pulled: a
-        # level that fills pulls it and skips it.
-        for word in islice(gen_lyndon(length, dens), q + fill_here):
-            if word == reserved:
-                if fill_here:
-                    continue
-                reserved_offset = nrows
-            segments.append((word * d, range(length)))
-            nrows += length
-            taken += 1
-        if taken != q:
+        # level that fills pulls it and drops it, one that does not starts
+        # with its class.
+        words = list(islice(gen_lyndon(length, dens), q + fill_here))[fill_here:]
+        if len(words) != q:
             raise ConstructionInvariantError("ran out of Lyndon words", inst, d)
+        segments.extend([(word * d, range(length)) for word in words])
+        nrows += q * length
+        reserved_offset = offset if q and not fill_here else None
         remaining -= q * dens
         blocks = 0
         blocks_offset: int | None = None
@@ -252,11 +249,11 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
                 raise ConstructionInvariantError("coset fill is not integral", inst, d)
             blocks = remaining * g // dens
             blocks_offset = nrows
-            for j in range(blocks):
-                # block_submatrix(length, dens, j) with every row tiled d times.
-                block_word, shifts = _coset_block(length, dens, j)
-                segments.append((block_word * d, shifts))
-            nrows += blocks * (length // g)
+            # block_submatrix(length, dens, j) for j < blocks, every row tiled
+            # d times: one segment, the reserved word and the blocks' rotations.
+            reserved, _ = _coset_block(length, dens, 0)
+            shifts = [k for j in range(blocks) for k in _coset_block(length, dens, j)[1]]
+            segments.append((reserved * d, shifts))
             remaining = 0
         levels.append(
             LevelPlan(d, length, dens, q, blocks, offset, reserved_offset, blocks_offset)
@@ -300,12 +297,13 @@ def _plan_span_one(
     segments, levels = _plan_regular(lifted)
     deleted = lifted.m - inst.m
 
-    # The base level holds 0^(n-h) 1^h, as a whole rotation class or as coset
-    # block 0; words tiled at higher levels are periodic, so no other segment
-    # does. Its shifts j*h mod n for j < deleted are cut: deleted row j has its
-    # ones at [n-(j+1)h, n-jh) mod n, so the deleted rows cover
-    # n*(lifted.v - v) + n1 cells running down from column n-1: only the last
-    # n1 columns drop to v-1, and the columns need no reordering.
+    # The base level holds 0^(n-h) 1^h, as a whole rotation class or as the
+    # segment of its coset blocks, block 0 first; words tiled at higher levels
+    # are periodic, so no other segment does. Its shifts j*h mod n for
+    # j < deleted, all in block 0, are cut: deleted row j has its ones at
+    # [n-(j+1)h, n-jh) mod n, so the deleted rows cover n*(lifted.v - v) + n1
+    # cells running down from column n-1: only the last n1 columns drop to
+    # v-1, and the columns need no reordering.
     reserved, block_shifts = _coset_block(n, h, 0)
     i = next((i for i, (word, _) in enumerate(segments) if word == reserved), None)
     if i is None:
@@ -334,16 +332,15 @@ def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstanc
     m rows, each of n columns and h ones, pairwise distinct, with the
     instance's degree vector as column sums, in column order.
 
-    A segment whose shifts are `range(p)`, p its word's period, is a full
-    rotation class: p distinct rows adding h*p/n to every column. Its word
-    is a Lyndon word tiled n/p times, as `gen_lyndon` yields them, so two
-    full classes are one class only when their words are equal. Any other
-    segment (a coset block, or the span-one cut) lists rotations of its
-    level's reserved word (0^(p-e) 1^e)^(n/p), e = h*p/n: each row is that
-    word rotated by the word's offset in it plus the shift, mod p. Those
-    rotations must be distinct and their class taken by no full class; the
-    row at rotation s has its ones in columns [p-e-s, p-s) mod p, tiled.
-    A plan this cannot show distinct is reported as parallel edges."""
+    Each segment is one rotation class, named by its least word: a Lyndon
+    word tiled n/p times, p its period, as `gen_lyndon` yields them, or a
+    reserved word (0^(p-e) 1^e)^(n/p), e = h*p/n. Two segments share rows
+    only when their words are equal. A segment whose shifts are `range(p)`
+    is a full class: p distinct rows adding e to every column. Any other
+    segment (coset blocks, or the span-one cut) lists rotations of its
+    period's reserved word, distinct mod p; the row at rotation s has its
+    ones in columns [p-e-s, p-s) mod p, tiled. A plan this cannot show
+    distinct is reported as parallel edges."""
     n, h = inst.n, inst.h
     words = list(map(itemgetter(0), segments))
     shifts = list(map(itemgetter(1), segments))
@@ -354,9 +351,10 @@ def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstanc
         raise ConstructionInvariantError("built a vertex outside 1..n", inst)
     if set(map(str.count, words, repeat("1"))) - {h}:
         raise ConstructionInvariantError(f"built an edge not of size {h}", inst)
+    if len(set(words)) != len(words):
+        raise ConstructionInvariantError("built parallel edges", inst)
     periods = list(map(str.find, map(str.__add__, words, words), words, repeat(1)))
     is_class = list(map(isinstance, shifts, repeat(range)))
-    classes = list(compress(words, is_class))  # the word of each full rotation class
     class_shifts = list(compress(shifts, is_class))
     class_periods = list(compress(periods, is_class))
     if class_shifts != list(map(range, class_periods)):
@@ -365,24 +363,12 @@ def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstanc
         raise ConstructionInvariantError(
             "built parallel edges" if more else "column sums missed the target vector", inst
         )
-    uniform = h * sum(class_periods) // n  # what the full classes add to every column
-    # Per reserved word and its period p, the rotations of it that are rows.
-    rotations: dict[tuple[str, int], list[int]] = {}
+    sums = [h * sum(class_periods) // n] * n  # what the full classes add to every column
     for word, listed, period in compress(zip(words, shifts, periods), map(not_, is_class)):
-        reserved = _coset_block(period, h * period // n, 0)[0] * (n // period)
-        offset = (reserved + reserved).find(word)
-        if offset < 0:
-            raise ConstructionInvariantError("built parallel edges", inst)
-        rotations.setdefault((reserved, period), []).extend([(offset + k) % period for k in listed])
-    taken = set(classes)
-    if len(taken) != len(classes) or any(
-        reserved in taken or len(set(found)) != len(found)
-        for (reserved, _), found in rotations.items()
-    ):
-        raise ConstructionInvariantError("built parallel edges", inst)
-    sums = [uniform] * n
-    for (_, period), found in rotations.items():
         ones = h * period // n
+        found = {k % period for k in listed}
+        if len(found) != len(listed) or word != _coset_block(period, ones, 0)[0] * (n // period):
+            raise ConstructionInvariantError("built parallel edges", inst)
         # Each row's ones are one run, starting at most p-1 columns in: a
         # difference array over 2p columns, folded back onto p.
         diff = [0] * (2 * period + 1)
@@ -404,8 +390,9 @@ def _edges(segments: list[_Segment]) -> _Edges:
     after the ones left of position k.
 
     A range of shifts is walked as runs over which that window stays put:
-    it moves only at the next one-position. Lists of shifts (coset blocks,
-    the span-one cut) and the empty word of h = 0 are taken row by row.
+    it moves only at the next one-position. Lists of shifts (the coset
+    blocks or span-one cut of a reserved word) and the empty word of h = 0
+    are taken row by row.
     Rows are built three ways:
     - a run of at least `_RUN` rows by `zip` over one descending range per
       window vertex, which builds the tuples in C;

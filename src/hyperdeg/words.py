@@ -4,8 +4,8 @@ Periods, lexicographically-least canonical forms, Lyndon tests, and the
 matrices obtained by stacking the distinct rotations of a word. The single
 shift convention used everywhere is left rotation: the first symbol moves to
 the end. `_coset_block` is the one definition of the coset blocks of
-0^(n-h) 1^h: `block_submatrix` renders them, and the construction plans
-from them.
+0^(n-h) 1^h, as rotations of that word: `block_submatrix` renders them, and
+the construction plans from them.
 
 Input is checked where it enters: each public function checks its word, and
 `BinaryMatrix` checks every row once. Internal builders such as `_rotations`
@@ -65,10 +65,11 @@ def _rotations(word: str, shifts: Iterable[int]) -> tuple[str, ...]:
 
 def _coset_block(n: int, h: int, j: int) -> tuple[str, list[int]]:
     """The j-th coset block of the rotation class of 0^(n-h) 1^h, for
-    0 <= j < gcd(n,h): the word 1^j 0^(n-h) 1^(h-j) and its shifts by
-    multiples of h, reduced mod n. For h = 0 or n, block 0 is one row."""
-    word = "1" * j + "0" * (n - h) + "1" * (h - j)
-    return word, [i * h % n for i in range(n // math.gcd(n, h))]
+    0 <= j < gcd(n,h): that word and the left rotations of it that are the
+    block's rows, n-j + i*h mod n for i < n/gcd(n,h), which are the word
+    1^j 0^(n-h) 1^(h-j) shifted by multiples of h. For h = 0 or n, block 0
+    is one row."""
+    return "0" * (n - h) + "1" * h, [(n - j + i * h) % n for i in range(n // math.gcd(n, h))]
 
 
 def _row_blocks(

@@ -35,6 +35,27 @@ class TestInstances:
         with pytest.raises(ValueError):
             SpanOneInstance(4, 0, 3, 2, 2)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RegularInstance(4, 5.0, 2, 2.5),
+            lambda: RegularInstance(4, 4, 2.0, 2),
+            lambda: RegularInstance("4", 4, 2, 2),
+            lambda: SpanOneInstance(9, 3, 5.0, 3, 6),
+            lambda: SpanOneInstance(9, 3, 5, 3.5, 5.5),
+        ],
+        ids=[
+            "regular-float-v",
+            "regular-float-h",
+            "regular-str-n",
+            "span-one-float-v",
+            "span-one-float-n0",
+        ],
+    )
+    def test_refuses_fields_that_are_no_integers(self, build):
+        with pytest.raises(ValueError, match="instance fields must be integers"):
+            build()
+
     def test_span_one_derived_row_count(self):
         inst = SpanOneInstance(9, 3, 5, 3, 6)
         assert inst.m == 13
@@ -190,6 +211,14 @@ class TestClassification:
         no_m = check_degree_sequence((1, 1, 1), 2)
         assert no_m.instance is None
         assert no_m.result == Feasibility(False, "integrality", None)
+
+    def test_float_degrees_are_refused_not_decided(self):
+        # 2.5 * 4 = 5 * 2: the totals balance, but no hypergraph has a
+        # vertex of degree 2.5.
+        with pytest.raises(ValueError, match="instance fields must be integers"):
+            check_degree_sequence((2.5,) * 4, 2)
+        with pytest.raises(ValueError, match="instance fields must be integers"):
+            check_degree_sequence((5, 5, 5, 4, 4, 4, 4, 4, 4), 3.0)
 
 
 class TestCharacterizationAgainstOracle:

@@ -1,6 +1,7 @@
 import inspect
 import math
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -127,6 +128,43 @@ class TestDegreeSequence:
         assert degree_sequence(span) == (5, 5, 5, 4, 4, 4, 4, 4, 4)
 
 
+def _witness_problem(edges, n, h, degrees):
+    """What keeps `edges` from being an h-uniform hypergraph on 1..n with no
+    parallel edges and the degree multiset `degrees`, or None. It shares no
+    code with the package: each edge is checked as a tuple on its own."""
+    if len(edges) * h != sum(degrees):
+        return f"{len(edges)} edges for {sum(degrees)} incidences"
+    if len(set(edges)) != len(edges):
+        return "parallel edges"
+    for edge in edges:
+        if type(edge) is not tuple or len(edge) != h:
+            return f"edge {edge!r} is no {h}-tuple"
+        if edge[0] < 1 or edge[-1] > n or any(a >= b for a, b in zip(edge, edge[1:])):
+            return f"edge {edge!r} does not increase strictly inside 1..{n}"
+    counts = Counter(chain.from_iterable(edges))
+    if sorted(counts[vertex] for vertex in range(1, n + 1)) != sorted(degrees):
+        return "degrees differ"
+    return None
+
+
+@st.composite
+def _large_sequences(draw):
+    """(degrees, h) of m edges of size h in 3..8 on n in 60..900 vertices,
+    m * n <= 2 * 10^5: regular when n divides h*m, span-one otherwise. Where
+    a regular m fits, half the draws take one; most n lie past 255."""
+    n = draw(st.integers(min_value=60, max_value=900))
+    h = draw(st.integers(min_value=3, max_value=8))
+    rows = 200_000 // n
+    unit = n // math.gcd(n, h)  # every regular row count is a multiple of it
+    if unit <= rows and draw(st.booleans()):
+        m = unit * draw(st.integers(min_value=1, max_value=rows // unit))
+    else:
+        m = draw(st.integers(min_value=1, max_value=rows))
+    v = -(-h * m // n)
+    n1 = n * v - h * m
+    return (v,) * (n - n1) + (v - 1,) * n1, h
+
+
 class TestRealize:
     def test_regular_example(self):
         result = realize((5, 5, 5, 5, 5, 5), 2)
@@ -236,11 +274,33 @@ class TestRealize:
         assert built.edges == from_incidence(built.matrix).edges
         assert realize(degrees, h).hypergraph.edges == built.edges
 
+    # Past the n <= 14 sweeps: rows of words longer than 255 take the
+    # per-vertex builder, and coset fills and the span-one cut list their
+    # shifts. n stays below the recursion limit of Lyndon generation.
+    @settings(max_examples=700, deadline=None)
+    @given(_large_sequences())
+    @example(((7,) * 300, 5))  # a coset fill of a word of length 300
+    @example(((2,) * 876 + (1,) * 24, 8))  # a span-one cut at n = 900
+    def test_large_witnesses_pass_an_independent_check(self, case):
+        degrees, h = case
+        result = realize(degrees, h)
+        assert result.status == "realized"
+        assert _witness_problem(result.hypergraph.edges, len(degrees), h, degrees) is None
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             realize((2, 2), 0)
         with pytest.raises(ValueError):
             realize((), 2)
+
+    @pytest.mark.parametrize(
+        "degrees, bad",
+        [((2.5,) * 4, "2.5"), ((2, 2, 2.0, 2), "2.0"), ((3, 3, "3", 3), "'3'")],
+    )
+    def test_refuses_degrees_that_are_no_integers(self, degrees, bad):
+        # int() would truncate 2.5 to 2 and realize (2, 2, 2, 2) instead.
+        with pytest.raises(ValueError, match=f"degrees must be integers, got {bad}$"):
+            realize(degrees, 2)
 
 
 class TestRealizeChecks:
@@ -251,10 +311,12 @@ class TestRealizeChecks:
         plan = reconstruct._plan_span_one
 
         def misplaced_deletion(inst):
-            # The cut coset block ('000000111', [6]) keeps shift 0 in place of
-            # shift 6: as many distinct rows, but the first columns lowered.
+            # The cut coset blocks ('000000111', [6, 8, 2, 5]) keep shift 0 in
+            # place of shift 6: as many distinct rows, but the first columns
+            # lowered.
             lifted, segments, levels = plan(inst)
-            segments[1] = (segments[1][0], [0])
+            assert segments[1] == ("000000111", [6, 8, 2, 5])
+            segments[1] = ("000000111", [0, 8, 2, 5])
             return lifted, segments, levels
 
         monkeypatch.setattr(reconstruct, "_plan_span_one", misplaced_deletion)

@@ -107,9 +107,10 @@ def _plan_problem(segments, inst):
     return None
 
 
-# Plans of (9, 15, 3, 5): one full class, then both coset blocks of 000000111;
-# and of (6, 15, 2, 5): three full classes, the last of period 3.
-_BLOCKS = [("000001011", range(9)), ("000000111", [0, 3, 6]), ("100000011", [0, 3, 6])]
+# Plans of (9, 15, 3, 5): one full class, then both coset blocks of 000000111
+# as rotations of it; and of (6, 15, 2, 5): three full classes, the last of
+# period 3.
+_BLOCKS = [("000001011", range(9)), ("000000111", [0, 3, 6, 8, 2, 5])]
 _CLASSES = [("000011", range(6)), ("000101", range(6)), ("001001", range(3))]
 
 
@@ -140,32 +141,42 @@ class TestPlanCheck:
     @pytest.mark.parametrize(
         "inst, segments, message",
         [
-            (RegularInstance(9, 15, 3, 5), _BLOCKS[:2], "built 12 edges, expected 15"),
+            (
+                RegularInstance(9, 15, 3, 5),
+                _BLOCKS[:1] + [("000000111", [0, 3, 6])],
+                "built 12 edges, expected 15",
+            ),
             (RegularInstance(6, 15, 2, 5), _CLASSES[1:], "built 9 edges, expected 15"),
             # A class or a block twice, in place of the segment after it.
             (RegularInstance(6, 15, 2, 5), _CLASSES[:1] * 2 + _CLASSES[2:], "built parallel edges"),
-            (RegularInstance(9, 15, 3, 5), _BLOCKS[:2] + _BLOCKS[1:2], "built parallel edges"),
+            (
+                RegularInstance(9, 15, 3, 5),
+                _BLOCKS[:1] + [("000000111", [0, 3, 6, 0, 3, 6])],
+                "built parallel edges",
+            ),
             # One shift of a block moved: onto a row of block 0, or off the
             # block's coset, which keeps the rows distinct but the columns not.
             (
                 RegularInstance(9, 15, 3, 5),
-                _BLOCKS[:2] + [("100000011", [0, 3, 7])],
+                _BLOCKS[:1] + [("000000111", [0, 3, 6, 8, 2, 6])],
                 "built parallel edges",
             ),
             (
                 RegularInstance(9, 15, 3, 5),
-                _BLOCKS[:2] + [("100000011", [0, 3, 5])],
+                _BLOCKS[:1] + [("000000111", [0, 3, 6, 8, 2, 4])],
                 "column sums missed the target vector",
             ),
-            # A block's word rotated into the full class, or onto block 0.
+            # Block 1 as a word rotated into the full class, or onto block 0.
             (
                 RegularInstance(9, 15, 3, 5),
-                _BLOCKS[:2] + [(cyclic_shift("000001011", 1), [0, 3, 6])],
+                _BLOCKS[:1]
+                + [("000000111", [0, 3, 6]), (cyclic_shift("000001011", 1), [0, 3, 6])],
                 "built parallel edges",
             ),
             (
                 RegularInstance(9, 15, 3, 5),
-                _BLOCKS[:2] + [(cyclic_shift("000000111", 3), [0, 3, 6])],
+                _BLOCKS[:1]
+                + [("000000111", [0, 3, 6]), (cyclic_shift("000000111", 3), [0, 3, 6])],
                 "built parallel edges",
             ),
             # One rotation short of the period, made up by a row of a class
@@ -198,6 +209,23 @@ class TestPlanCheck:
     def test_refuses_what_the_edge_check_refuses(self, inst, segments, message):
         assert _plan_problem(segments, inst) == message
         assert _EdgeCheck().problem(segments, inst) is not None
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            # The coset blocks of 000000111 as two segments of that word.
+            _BLOCKS[:1] + [("000000111", [0, 3, 6]), ("000000111", [8, 2, 5])],
+            # Block 1 as the rotated word 100000011 and its shifts by h.
+            _BLOCKS[:1] + [("000000111", [0, 3, 6]), ("100000011", [0, 3, 6])],
+        ],
+        ids=["one-class-in-two-segments", "block-as-a-rotated-word"],
+    )
+    def test_refuses_a_class_not_in_one_segment_of_its_least_word(self, segments):
+        # Valid witnesses, but the check's argument needs each rotation class
+        # in one segment, named by its least word.
+        inst = RegularInstance(9, 15, 3, 5)
+        assert _EdgeCheck().problem(segments, inst) is None
+        assert _plan_problem(segments, inst) == "built parallel edges"
 
     def test_the_unmutated_plans_pass(self):
         plans = [(RegularInstance(9, 15, 3, 5), _BLOCKS), (RegularInstance(6, 15, 2, 5), _CLASSES)]
@@ -281,10 +309,12 @@ class TestConstructionInvariantError:
         plan = reconstruct._plan_span_one
 
         def misplaced_deletion(inst):
-            # The cut coset block ('000000111', [6]) keeps shift 0 in place of
-            # shift 6: as many distinct rows, but the first columns lowered.
+            # The cut coset blocks ('000000111', [6, 8, 2, 5]) keep shift 0 in
+            # place of shift 6: as many distinct rows, but the first columns
+            # lowered.
             lifted, segments, levels = plan(inst)
-            segments[1] = (segments[1][0], [0])
+            assert segments[1] == ("000000111", [6, 8, 2, 5])
+            segments[1] = ("000000111", [0, 8, 2, 5])
             return lifted, segments, levels
 
         monkeypatch.setattr(reconstruct, "_plan_span_one", misplaced_deletion)
