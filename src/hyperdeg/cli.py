@@ -15,8 +15,7 @@ import itertools
 import json
 import re
 import sys
-from collections.abc import Iterator, Sequence
-from typing import TextIO
+from collections.abc import Iterable, Sequence
 
 from .feasibility import check_degree_sequence
 from .necklaces import count_lyndon, count_necklaces, gen_lyndon, gen_necklaces
@@ -37,27 +36,22 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _parse_degrees_text(text: str) -> tuple[int, ...]:
-    parts = list(filter(None, map(str.strip, text.split(","))))
-    if not parts:
-        raise ValueError("no degrees given")
-    return tuple(map(int, parts))
-
-
-def _read_degrees_file(path: str) -> tuple[int, ...]:
-    with open(path, encoding="utf-8") as handle:
-        lines = list(filter(None, map(str.strip, handle)))
-    if not lines:
-        raise ValueError(f"degree file {path} is empty")
-    return tuple(map(int, lines))
+def _degree_list(items: Iterable[str], empty: str) -> tuple[int, ...]:
+    """The degrees in `items`, one per item, blank items skipped; `empty` is
+    the error when none is left."""
+    degrees = tuple(map(int, filter(None, map(str.strip, items))))
+    if not degrees:
+        raise ValueError(empty)
+    return degrees
 
 
 def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
     """Resolve the degree source options to a nonincreasing vector."""
     if args.degrees is not None:
-        raw = _parse_degrees_text(args.degrees)
+        raw = _degree_list(args.degrees.split(","), "no degrees given")
     elif args.degrees_file is not None:
-        raw = _read_degrees_file(args.degrees_file)
+        with open(args.degrees_file, encoding="utf-8") as handle:
+            raw = _degree_list(handle, f"degree file {args.degrees_file} is empty")
     elif args.n is not None and args.v is not None:
         if args.n < 1:
             raise ValueError("--n must be positive")
@@ -70,16 +64,6 @@ def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
     if ordered != raw:
         print("note: degrees sorted nonincreasingly", file=sys.stderr)
     return ordered
-
-
-@contextlib.contextmanager
-def _output(path: str | None) -> Iterator[TextIO]:
-    """The file at `path`, opened for writing, or stdout when no path is given."""
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
-    else:
-        yield sys.stdout
 
 
 # Per output format: the text of one row of h ones ('0'/'1' symbols, or for
@@ -107,7 +91,7 @@ def _write_built(
     inst = built.instance
     text_of, sep = _FORMATS[fmt]
     row_text = text_of(inst.h)
-    with _output(path) as out:
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as out:
         if fmt == "json":
             out.write(json.dumps({"n": inst.n, "m": inst.m, "h": inst.h})[:-1] + ', "rows": [')
         between = ""

@@ -33,14 +33,15 @@ __all__ = [
 ]
 
 
-def _require_integers(instance: RegularInstance | SpanOneInstance, fields: tuple) -> None:
-    """Refuse an instance with a field `operator.index` refuses, such as the
-    m = 5.0 that float degrees give. The fields are passed in: `vars` would
-    give every instance a dict of its own."""
+def _integers(values: Sequence, what: str) -> tuple[int, ...]:
+    """The values through `operator.index`, or a ValueError naming the first
+    value it refuses, such as 2.5, 2.0 or "3": the one integer check of
+    degrees, edge sizes and instance fields."""
     try:
-        list(map(index, fields))
+        return tuple(map(index, values))
     except TypeError:
-        raise ValueError(f"instance fields must be integers: {instance!r}") from None
+        bad = next(x for x in values if not hasattr(x, "__index__"))
+        raise ValueError(f"{what} must be integers, got {bad!r}") from None
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class RegularInstance:
     v: int
 
     def __post_init__(self) -> None:
-        _require_integers(self, (self.n, self.m, self.h, self.v))
+        _integers((self.n, self.m, self.h, self.v), "instance fields")
         if self.n < 1:
             raise ValueError("column count must be positive")
         if min(self.m, self.h, self.v) < 0:
@@ -75,7 +76,7 @@ class SpanOneInstance:
     n1: int
 
     def __post_init__(self) -> None:
-        _require_integers(self, (self.n, self.h, self.v, self.n0, self.n1))
+        _integers((self.n, self.h, self.v, self.n0, self.n1), "instance fields")
         if self.n0 < 1 or self.n1 < 1:
             raise ValueError("both column-sum values must occur")
         if self.n0 + self.n1 != self.n:
@@ -194,12 +195,17 @@ def erdos_gallai_check(degrees: Sequence[int]) -> bool:
 
 def classify_degrees(degrees: Sequence[int]) -> str:
     """Classify a degree vector as 'regular' (one value), 'span-one' (two
-    adjacent values) or 'unsupported' (anything wider)."""
+    adjacent values) or 'unsupported' (anything wider). A spread that is not
+    whole, as between 3 and 2.5, raises ValueError: no integer vector has it.
+    The entries are not checked one by one; `check_degree_sequence` checks
+    the largest."""
     if not degrees:
         raise ValueError("degree sequence must be nonempty")
     if any(x < 0 for x in degrees):
         raise ValueError("degrees must be nonnegative")
     spread = max(degrees) - min(degrees)
+    if spread % 1:
+        raise ValueError(f"degrees must be integers, got a spread of {spread!r}")
     if spread == 0:
         return "regular"
     if spread == 1:
@@ -222,14 +228,17 @@ class DegreeCheck:
 
 def check_degree_sequence(degrees: Sequence[int], h: int) -> DegreeCheck:
     """Classify `degrees` and run the matching feasibility check for edge
-    size h."""
+    size h. An edge size or a largest degree that is no integer, such as 2.5
+    or 3.0, raises ValueError, as does a spread that is not whole; the
+    integer check of the other entries is left to the caller (`realize`
+    makes it), so a float strictly between v-1 and v passes as v-1."""
+    h, v = _integers((h, max(degrees, default=0)), "edge size and degrees")
     if h < 1:
         raise ValueError("edge size must be positive")
     kind = classify_degrees(degrees)
     n = len(degrees)
     if kind == "unsupported":
         return DegreeCheck(kind, None, None)
-    v = max(degrees)
     if kind == "regular":
         if (n * v) % h:
             return DegreeCheck(kind, None, Feasibility(False, "integrality", None))

@@ -14,12 +14,12 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import index
 
 from .feasibility import (
     Feasibility,
     RegularInstance,
     SpanOneInstance,
+    _integers,
     check_degree_sequence,
 )
 from .reconstruct import _BUILDERS
@@ -123,14 +123,8 @@ def realize(degrees: Iterable[int] | Sequence[int], h: int) -> RealizationResult
     """Realize a degree sequence as an h-uniform hypergraph without parallel
     edges. Supported shapes are regular and span-one sequences, in any order:
     vertices 1..n0 take the larger degree of a span-one sequence. A degree
-    that is no integer, such as 2.5 or "3", raises ValueError."""
-    degrees = tuple(degrees)
-    try:
-        values = tuple(map(index, degrees))
-    except TypeError:
-        bad = next(x for x in degrees if not hasattr(x, "__index__"))
-        raise ValueError(f"degrees must be integers, got {bad!r}") from None
-    check = check_degree_sequence(values, h)
+    or edge size that is no integer, such as 2.5 or "3", raises ValueError."""
+    check = check_degree_sequence(_integers(tuple(degrees), "degrees"), h)
     if check.kind == "unsupported":
         return RealizationResult("unsupported", reason="span>1")
     assert check.result is not None

@@ -338,9 +338,10 @@ def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstanc
     only when their words are equal. A segment whose shifts are `range(p)`
     is a full class: p distinct rows adding e to every column. Any other
     segment (coset blocks, or the span-one cut) lists rotations of its
-    period's reserved word, distinct mod p; the row at rotation s has its
-    ones in columns [p-e-s, p-s) mod p, tiled. A plan this cannot show
-    distinct is reported as parallel edges."""
+    period's reserved word, distinct and in [0, p), the range the renderers
+    take (a shift outside it is reported as a vertex outside 1..n); the row
+    at rotation s has its ones in columns [p-e-s, p-s) mod p, tiled. A plan
+    this cannot show distinct is reported as parallel edges."""
     n, h = inst.n, inst.h
     words = list(map(itemgetter(0), segments))
     shifts = list(map(itemgetter(1), segments))
@@ -366,7 +367,9 @@ def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstanc
     sums = [h * sum(class_periods) // n] * n  # what the full classes add to every column
     for word, listed, period in compress(zip(words, shifts, periods), map(not_, is_class)):
         ones = h * period // n
-        found = {k % period for k in listed}
+        found = set(listed)
+        if found.difference(range(period)):
+            raise ConstructionInvariantError("built a vertex outside 1..n", inst)
         if len(found) != len(listed) or word != _coset_block(period, ones, 0)[0] * (n // period):
             raise ConstructionInvariantError("built parallel edges", inst)
         # Each row's ones are one run, starting at most p-1 columns in: a

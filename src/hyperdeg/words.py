@@ -57,10 +57,11 @@ def _check_word(w: str) -> str:
 
 
 def _rotations(word: str, shifts: Iterable[int]) -> tuple[str, ...]:
-    """The left rotations of a checked word by each of `shifts`."""
+    """The left rotations of a checked word by each of `shifts`, all in
+    [0, len(word))."""
     n = len(word)
     doubled = word + word
-    return tuple([doubled[k % n : k % n + n] for k in shifts])
+    return tuple([doubled[k : k + n] for k in shifts])
 
 
 def _coset_block(n: int, h: int, j: int) -> tuple[str, list[int]]:

@@ -114,6 +114,24 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--h", "3", "--degrees-file", str(path))
         assert code == 0 and json.loads(out)["m"] == 13
 
+    def test_degree_lists_skip_blanks_and_surrounding_space(self, tmp_path):
+        path = tmp_path / "degrees.txt"
+        path.write_bytes(b"3\r\n\r\n3\r\n 3 \r\n3\r\n")
+        regular = call("check", "--h", "2", "--n", "4", "--v", "3")
+        assert regular[0] == 0
+        assert call("check", "--h", "2", "--degrees", " 3, ,3,3 ,3") == regular
+        assert call("check", "--h", "2", "--degrees-file", str(path)) == regular
+
+    def test_an_empty_degree_list_is_usage_error(self, tmp_path):
+        path = tmp_path / "degrees.txt"
+        path.write_text("")
+        assert call("check", "--h", "2", "--degrees", ",") == (2, "", "error: no degrees given\n")
+        assert call("check", "--h", "2", "--degrees-file", str(path)) == (
+            2,
+            "",
+            f"error: degree file {path} is empty\n",
+        )
+
     def test_unsorted_degrees_notice(self, capsys):
         code, out, err = run(capsys, "check", "--h", "3", "--degrees", "4,5,4,5,4,4,5,4,4")
         assert code == 0

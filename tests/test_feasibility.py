@@ -14,6 +14,7 @@ from hyperdeg.feasibility import (
     erdos_gallai_check,
     gale_ryser_check,
 )
+from hyperdeg.hypergraphs import realize
 from hyperdeg.necklaces import binomial
 from hyperdeg.oracle import exists_any_matrix, exists_distinct_rows
 
@@ -215,10 +216,51 @@ class TestClassification:
     def test_float_degrees_are_refused_not_decided(self):
         # 2.5 * 4 = 5 * 2: the totals balance, but no hypergraph has a
         # vertex of degree 2.5.
-        with pytest.raises(ValueError, match="instance fields must be integers"):
+        with pytest.raises(ValueError, match="edge size and degrees must be integers, got 2.5$"):
             check_degree_sequence((2.5,) * 4, 2)
-        with pytest.raises(ValueError, match="instance fields must be integers"):
+        with pytest.raises(ValueError, match="edge size and degrees must be integers, got 3.0$"):
             check_degree_sequence((5, 5, 5, 4, 4, 4, 4, 4, 4), 3.0)
+
+
+class TestIntegerGate:
+    """One integer check guards the decision and the construction alike:
+    `check_degree_sequence` refuses a non-integer edge size, largest degree
+    or spread, and `realize` refuses any degree that is no integer. A
+    refusal names the value (a string here is the expected message); a
+    whole float below the largest degree is decided as its integer."""
+
+    @pytest.mark.parametrize(
+        "call, degrees, h, refusal",
+        [
+            (check_degree_sequence, (2, 2), 2.5, "got 2.5$"),
+            (check_degree_sequence, (2.5, 2.5, 2.5), 2, "got 2.5$"),
+            (check_degree_sequence, (2, 2.5), 2, "got 2.5$"),
+            (check_degree_sequence, (3, 2.5), 2, "^degrees must be integers, got a spread of 0.5$"),
+            (check_degree_sequence, (2.5,) * 4, 2, "got 2.5$"),
+            (check_degree_sequence, (5, 5, 5, 4, 4, 4, 4, 4, 4), 3.0, "got 3.0$"),
+            (check_degree_sequence, (2, 2, 2.0, 2), 2, None),
+            (realize, (2, 2, 2.0, 2), 2, "^degrees must be integers, got 2.0$"),
+            (realize, (2, 2), 2.5, "^edge size and degrees must be integers, got 2.5$"),
+        ],
+        ids=[
+            "float-edge-size",
+            "float-regular",
+            "float-largest",
+            "float-spread",
+            "float-totals-balance",
+            "whole-float-edge-size",
+            "whole-float-degree-decided",
+            "realize-whole-float-degree",
+            "realize-float-edge-size",
+        ],
+    )
+    def test_refuses_what_no_integer_sequence_has(self, call, degrees, h, refusal):
+        if refusal is None:
+            assert call(degrees, h) == call(tuple(map(int, degrees)), h)
+            assert call(degrees, h).instance == RegularInstance(4, 4, 2, 2)
+            return
+        with pytest.raises(ValueError, match=refusal):
+            call(degrees, h)
 
 
 class TestCharacterizationAgainstOracle:

@@ -192,6 +192,13 @@ class TestPlanCheck:
                 [("000011", range(6)), ("001001", range(4)), ("000101", range(5))],
                 "built parallel edges",
             ),
+            # A block shift below zero, which the rows would read mod 9 and
+            # the edges not at all.
+            (
+                RegularInstance(9, 15, 3, 5),
+                _BLOCKS[:1] + [("000000111", [0, 3, 6, 8, 2, -4])],
+                "built a vertex outside 1..n",
+            ),
         ],
         ids=[
             "dropped-block",
@@ -204,6 +211,7 @@ class TestPlanCheck:
             "block-rotated-onto-block-0",
             "range-short-of-the-period",
             "range-past-the-period",
+            "block-shift-below-zero",
         ],
     )
     def test_refuses_what_the_edge_check_refuses(self, inst, segments, message):
@@ -226,6 +234,14 @@ class TestPlanCheck:
         inst = RegularInstance(9, 15, 3, 5)
         assert _EdgeCheck().problem(segments, inst) is None
         assert _plan_problem(segments, inst) == "built parallel edges"
+
+    def test_refuses_a_listed_shift_past_the_period(self):
+        # Shift 14 of 000000111 is the row of shift 5, a valid witness the
+        # edges spell, but every renderer takes listed shifts in [0, 9).
+        segments = _BLOCKS[:1] + [("000000111", [0, 3, 6, 8, 2, 14])]
+        inst = RegularInstance(9, 15, 3, 5)
+        assert _EdgeCheck().problem(segments, inst) is None
+        assert _plan_problem(segments, inst) == "built a vertex outside 1..n"
 
     def test_the_unmutated_plans_pass(self):
         plans = [(RegularInstance(9, 15, 3, 5), _BLOCKS), (RegularInstance(6, 15, 2, 5), _CLASSES)]
