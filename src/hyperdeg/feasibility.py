@@ -40,8 +40,12 @@ def _integers(values: Sequence, what: str) -> tuple[int, ...]:
     try:
         return tuple(map(index, values))
     except TypeError:
-        bad = next(x for x in values if not hasattr(x, "__index__"))
-        raise ValueError(f"{what} must be integers, got {bad!r}") from None
+        for value in values:
+            try:
+                index(value)
+            except TypeError:
+                raise ValueError(f"{what} must be integers, got {value!r}") from None
+        raise
 
 
 @dataclass(frozen=True)

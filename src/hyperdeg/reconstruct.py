@@ -55,7 +55,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat, starmap
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, not_
 
 from .feasibility import (
@@ -66,7 +66,7 @@ from .feasibility import (
     check_span_one,
 )
 from .necklaces import common_divisors, count_lyndon, gen_lyndon
-from .words import BinaryMatrix, _coset_block, _rotations
+from .words import BinaryMatrix, _coset_block, _rotations, _row_blocks
 
 __all__ = [
     "ConstructionInvariantError",
@@ -88,6 +88,10 @@ _Edges = tuple[tuple[int, ...], ...]
 # Shortest run of shifts that `_edges` emits through `zip`: below it, the
 # per-row comprehension was faster in a microbenchmark over run lengths.
 _RUN = 4
+
+# Fewest columns per one at which `verify` reads rows by their ones: below
+# it, the per-cell passes were faster in a sweep over n and h.
+_SPARSE = 120
 
 # _MINUS[j] maps each byte b to (b - j) mod 256: translating a row's window
 # of one-positions, packed mod 256, through it subtracts the shift j.
@@ -138,7 +142,7 @@ class LevelPlan:
 
 class _RendersRows:
     """The edges and rows of a reconstruction, read from its checked plan on
-    first use: `edges`, `matrix`, or `row_blocks` one segment at a time."""
+    first use: `edges`, `matrix`, or `row_blocks` a bounded block at a time."""
 
     @cached_property
     def edges(self) -> _Edges:
@@ -150,10 +154,16 @@ class _RendersRows:
         return BinaryMatrix(tuple(chain.from_iterable(self.row_blocks())), self.instance.n)
 
     def row_blocks(self) -> Iterator[tuple[str, ...]]:
-        """The '0'/'1' rows of `matrix`, one plan segment (a rotation class,
-        whole or in part) at a time, without building or checking `matrix`:
-        the construction has checked the plan these rows are read from."""
-        return starmap(_rotations, self._segments)
+        """The '0'/'1' rows of `matrix` in blocks of at most 2^16 symbols (one
+        row at the least), each from one plan segment (a rotation class,
+        whole or in part), without building or checking `matrix`: the
+        construction has checked the plan these rows are read from."""
+        n = self.instance.n
+        return (
+            _rotations(word, chunk)
+            for word, shifts in self._segments
+            for _, chunk in _row_blocks(shifts, n, 1 << 16)
+        )
 
 
 @dataclass(frozen=True)
@@ -477,20 +487,66 @@ def verify(
 ) -> VerifyResult:
     """True iff the matrix has the instance's shape, pairwise distinct rows,
     every row sum equal to h, and column sums matching the instance's degree
-    vector as a multiset."""
+    vector as a multiset. Properties are checked in that order, and the first
+    that fails is the `problem`.
+
+    Rows of at least `_SPARSE` columns per one (n >= _SPARSE * h) are read by
+    their ones (`_problem_by_ones`); denser ones cell by cell. Both give the
+    same verdict."""
     try:
         expected_m = instance.m
     except ValueError:
         return VerifyResult(False, "shape")
     if matrix.ncols != instance.n or matrix.nrows != expected_m:
         return VerifyResult(False, "shape")
+    by_ones = matrix.ncols >= _SPARSE * instance.h
+    problem = (_problem_by_ones if by_ones else _problem_by_cells)(
+        matrix, instance.h, instance.degree_vector()
+    )
+    return VerifyResult(problem is None, problem)
+
+
+def _problem_by_cells(matrix: BinaryMatrix, h: int, degrees: tuple[int, ...]) -> str | None:
+    """The first property a shaped matrix fails, from C-level passes over all
+    its cells: hashing, counting and column-slicing every row."""
     if len(set(matrix.rows)) != matrix.nrows:
-        return VerifyResult(False, "duplicate rows")
-    if set(map(str.count, matrix.rows, repeat("1"))) - {instance.h}:
-        return VerifyResult(False, "row sum")
-    if tuple(sorted(matrix.col_sums(), reverse=True)) != instance.degree_vector():
-        return VerifyResult(False, "column sum")
-    return VerifyResult(True)
+        return "duplicate rows"
+    if set(map(str.count, matrix.rows, repeat("1"))) - {h}:
+        return "row sum"
+    if tuple(sorted(matrix.col_sums(), reverse=True)) != degrees:
+        return "column sum"
+    return None
+
+
+def _problem_by_ones(matrix: BinaryMatrix, h: int, degrees: tuple[int, ...]) -> str | None:
+    """The first property a shaped matrix fails, from each row's ones alone:
+    `str.find` walks a row up to its (h+1)-th one. A row of h or fewer ones
+    is keyed by their columns, which name it exactly; a row of more is keyed
+    by itself, and fails the row sum. A row of exactly h ones adds one to
+    each of their columns; the column sums matter only when every row has h."""
+    keys = []
+    sums = [0] * matrix.ncols
+    wrong_sum = False
+    for row in matrix.rows:
+        ones = []
+        p = row.find("1")
+        while p >= 0 and len(ones) <= h:
+            ones.append(p)
+            p = row.find("1", p + 1)
+        if len(ones) == h:
+            for p in ones:
+                sums[p] += 1
+            keys.append(tuple(ones))
+        else:
+            wrong_sum = True
+            keys.append(row if len(ones) > h else tuple(ones))
+    if len(set(keys)) != len(keys):
+        return "duplicate rows"
+    if wrong_sum:
+        return "row sum"
+    if tuple(sorted(sums, reverse=True)) != degrees:
+        return "column sum"
+    return None
 
 
 def twin_free_bipartite(n: int, k: int) -> BinaryMatrix:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 __all__ = [
@@ -73,11 +73,10 @@ def _coset_block(n: int, h: int, j: int) -> tuple[str, list[int]]:
     return "0" * (n - h) + "1" * h, [(n - j + i * h) % n for i in range(n // math.gcd(n, h))]
 
 
-def _row_blocks(
-    rows: tuple[str, ...], ncols: int, symbols: int
-) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """(index of the first row, rows) for consecutive runs of rows holding at
-    most `symbols` symbols, one row at the least; joining a run bounds the copy."""
+def _row_blocks(rows: Sequence, ncols: int, symbols: int) -> Iterator[tuple[int, Sequence]]:
+    """(index of the first row, rows) for consecutive runs of rows of `ncols`
+    symbols each holding at most `symbols` symbols, one row at the least;
+    joining a run bounds the copy. A run is a slice of `rows`."""
     step = max(1, symbols // ncols)
     return ((start, rows[start : start + step]) for start in range(0, len(rows), step))
 

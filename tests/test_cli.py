@@ -266,7 +266,7 @@ def _renderings(matrix, h, plan=None):
 
 
 class TestRowsFromThePlan:
-    """The matrix formats are written from the checked plan, a segment at a
+    """The matrix formats are written from the checked plan, a block at a
     time; their bytes are those of the construction's matrix."""
 
     def test_every_small_instance_matches_its_matrix(self, tmp_path, monkeypatch):
@@ -343,7 +343,7 @@ class TestRowsFromThePlan:
 
     def test_lines_output_peaks_below_its_file_size(self, tmp_path):
         # The rows are never held whole: the heap peak (the plan, its check,
-        # one class of rows) stays below the 6.9 MB the file takes.
+        # one block of rows) stays below the 6.9 MB the file takes.
         path = tmp_path / "rows"
         argv = ["reconstruct", "--h", "3", "--n", "600", "--v", "60", "--format", "lines"]
         call("check", "--h", "2", "--n", "4", "--v", "1")  # the parser is built once per process
@@ -401,6 +401,41 @@ class TestVerifyCommand:
         refusal = (1, "", "unsupported degree class: span>1\n")
         assert call("verify", "--h", "2", "--degrees", "3,2,1", "--matrix", str(path)) == refusal
         assert call("reconstruct", "--h", "2", "--degrees", "3,2,1") == refusal
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (None, None),
+            ("drop the last row", "shape"),
+            ("copy row 1 over row 2", "duplicate rows"),
+            ("add a one to row 1", "row sum"),
+            ("move row 1 to columns 1 and 3", "column sum"),
+        ],
+        ids=["valid", "shape", "duplicate-rows", "row-sum", "column-sum"],
+    )
+    def test_each_verdict_on_a_sparse_witness(self, tmp_path, change, problem):
+        # n = 300 and h = 2 put 150 columns on each one, so rows are read by
+        # their ones. The witness is one coset block: row i has its ones in
+        # two adjacent columns, and every column sums to 1.
+        assert 300 >= reconstruct._SPARSE * 2
+        instance = ("--h", "2", "--n", "300", "--v", "1")
+        path = tmp_path / "m.txt"
+        assert call("reconstruct", *instance, "--output", str(path)) == (0, "", "")
+        rows = path.read_text().split()
+        assert len(rows) == 150
+        if change == "drop the last row":
+            rows.pop()
+        elif change == "copy row 1 over row 2":
+            rows[1] = rows[0]
+        elif change == "add a one to row 1":
+            rows[0] = "1" + rows[0][1:]
+            assert rows[0].count("1") == 3
+        elif change == "move row 1 to columns 1 and 3":
+            rows[0] = "101" + "0" * 297
+        path.write_text("".join(row + "\n" for row in rows))
+        verdict = json.dumps({"valid": problem is None, "problem": problem}) + "\n"
+        code = 0 if problem is None else 1
+        assert call("verify", *instance, "--matrix", str(path)) == (code, verdict, "")
 
     def test_detects_broken_matrix(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

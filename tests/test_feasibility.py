@@ -222,6 +222,16 @@ class TestClassification:
             check_degree_sequence((5, 5, 5, 4, 4, 4, 4, 4, 4), 3.0)
 
 
+class _RefusesIndex:
+    """Has `__index__`, which refuses the value as `float.__index__` would."""
+
+    def __index__(self):
+        raise TypeError("not an integer")
+
+    def __repr__(self):
+        return "_RefusesIndex()"
+
+
 class TestIntegerGate:
     """One integer check guards the decision and the construction alike:
     `check_degree_sequence` refuses a non-integer edge size, largest degree
@@ -241,6 +251,8 @@ class TestIntegerGate:
             (check_degree_sequence, (2, 2, 2.0, 2), 2, None),
             (realize, (2, 2, 2.0, 2), 2, "^degrees must be integers, got 2.0$"),
             (realize, (2, 2), 2.5, "^edge size and degrees must be integers, got 2.5$"),
+            (check_degree_sequence, (_RefusesIndex(),), 2, r"got _RefusesIndex\(\)$"),
+            (realize, (_RefusesIndex(),), 2, r"^degrees must be integers, got _RefusesIndex\(\)$"),
         ],
         ids=[
             "float-edge-size",
@@ -252,6 +264,8 @@ class TestIntegerGate:
             "whole-float-degree-decided",
             "realize-whole-float-degree",
             "realize-float-edge-size",
+            "index-raises-type-error",
+            "realize-index-raises-type-error",
         ],
     )
     def test_refuses_what_no_integer_sequence_has(self, call, degrees, h, refusal):

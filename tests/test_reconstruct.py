@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from collections import Counter
 from itertools import chain, filterfalse
 
@@ -12,6 +13,7 @@ from hyperdeg.feasibility import RegularInstance, SpanOneInstance, check_regular
 from hyperdeg.hypergraphs import from_incidence, realize
 from hyperdeg.necklaces import binomial, gen_lyndon
 from hyperdeg.reconstruct import (
+    _BUILDERS,
     ConstructionInvariantError,
     rec_regular_with_plan,
     rec_span_one_with_plan,
@@ -553,6 +555,46 @@ class TestVerify:
         inst = SpanOneInstance(4, 2, 3, 3, 1)
         assert verify(BinaryMatrix(("0011",), 4), inst).problem == "shape"
 
+    def test_reading_by_ones_and_by_cells_agree(self, monkeypatch):
+        # Built witnesses, each with up to three rows replaced: by a copy of
+        # another row, by a row of fewer or of more than h ones (two equal
+        # such rows, too), or by another row of h ones, which moves the column
+        # sums. Each matrix is verified once through each pass, forced by the
+        # selection constant.
+        rng = random.Random(16)
+        instances = [inst for inst in feasible_regular_instances(9) if inst.h and inst.m > 1]
+        instances += feasible_span_one_instances(9, max_v=6)
+
+        def row_of(n, count):
+            ones = set(rng.sample(range(n), count))
+            return "".join("1" if j in ones else "0" for j in range(n))
+
+        seen = Counter()
+        for _ in range(1500):
+            inst = rng.choice(instances)
+            n, h = inst.n, inst.h
+            rows = list(_BUILDERS[type(inst)](inst).matrix.rows)
+            for _ in range(rng.randrange(4)):
+                i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+                change = rng.choice(("copy", "fewer", "more", "more twice", "moved"))
+                if change == "copy":
+                    rows[i] = rows[j]
+                elif change == "fewer":
+                    rows[i] = row_of(n, rng.randrange(h))
+                elif change == "moved":
+                    rows[i] = row_of(n, h)
+                elif h < n:
+                    rows[i] = rows[j] = row_of(n, rng.randint(h + 1, n))
+                    if change == "more":
+                        rows[j] = row_of(n, rng.randint(h + 1, n))
+            matrix = BinaryMatrix(tuple(rows), n)
+            monkeypatch.setattr(reconstruct, "_SPARSE", 0)
+            by_ones = verify(matrix, inst)
+            monkeypatch.setattr(reconstruct, "_SPARSE", n + 1)
+            assert verify(matrix, inst) == by_ones, (inst, rows)
+            seen[by_ones.problem] += 1
+        assert set(seen) == {None, "duplicate rows", "row sum", "column sum"}, seen
+
 
 class TestTwinFreeBipartite:
     def test_documented_cases(self):
@@ -639,3 +681,23 @@ class TestEdgesFromPlan:
         for j in range(255):
             packed = bytes([p & 255 for p in range(j + 1, j + 256)])
             assert packed.translate(reconstruct._MINUS[j]) == bytes(range(1, 256))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            RegularInstance(9, 15, 3, 5),
+            RegularInstance(300, 420, 5, 7),
+            RegularInstance(787, 787, 2, 2),
+            SpanOneInstance(600, 3, 3, 597, 3),
+            RegularInstance(70_000, 1, 70_000, 1),
+        ],
+        ids=["one-block", "fill-n300", "class-n787", "cut-n600", "one-wide-row"],
+    )
+    def test_blocks_hold_at_most_2_16_symbols_and_join_to_the_matrix(self, inst):
+        built = _BUILDERS[type(inst)](inst)
+        cap = max(1, 2**16 // inst.n)
+        blocks = list(built.row_blocks())
+        assert all(0 < len(block) <= cap for block in blocks)
+        assert tuple(chain.from_iterable(blocks)) == built.matrix.rows
