@@ -53,10 +53,6 @@ def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
         with open(args.degrees_file, encoding="utf-8") as handle:
             raw = _degree_list(handle, f"degree file {args.degrees_file} is empty")
     elif args.n is not None and args.v is not None:
-        if args.n < 1:
-            raise ValueError("--n must be positive")
-        if args.v < 0:
-            raise ValueError("--v must be nonnegative")
         raw = (args.v,) * args.n
     else:
         raise ValueError("give --degrees, --degrees-file, or both --n and --v")

@@ -11,6 +11,7 @@ number of distinct rows at C(n,h).
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -33,18 +34,20 @@ __all__ = [
 ]
 
 
-def _integers(values: Sequence, what: str) -> tuple[int, ...]:
-    """The values through `operator.index`, or a ValueError naming the first
-    value it refuses, such as 2.5, 2.0 or "3": the one integer check of
-    degrees, edge sizes and instance fields."""
+def _integers(values: Sequence, rule: str) -> None:
+    """Refuse any value that `operator.index` refuses, such as 2.5, 2.0 or
+    "3", with a ValueError that states `rule` and names the first such value:
+    the one integer check of degrees, edge sizes and instance fields. The
+    pass over the values runs in C and keeps nothing; only a refusal walks
+    them one by one, to name the value."""
     try:
-        return tuple(map(index, values))
+        deque(map(index, values), 0)
     except TypeError:
         for value in values:
             try:
                 index(value)
             except TypeError:
-                raise ValueError(f"{what} must be integers, got {value!r}") from None
+                raise ValueError(f"{rule}, got {value!r}") from None
         raise
 
 
@@ -58,7 +61,7 @@ class RegularInstance:
     v: int
 
     def __post_init__(self) -> None:
-        _integers((self.n, self.m, self.h, self.v), "instance fields")
+        _integers((self.n, self.m, self.h, self.v), "instance fields must be integers")
         if self.n < 1:
             raise ValueError("column count must be positive")
         if min(self.m, self.h, self.v) < 0:
@@ -80,7 +83,7 @@ class SpanOneInstance:
     n1: int
 
     def __post_init__(self) -> None:
-        _integers((self.n, self.h, self.v, self.n0, self.n1), "instance fields")
+        _integers((self.n, self.h, self.v, self.n0, self.n1), "instance fields must be integers")
         if self.n0 < 1 or self.n1 < 1:
             raise ValueError("both column-sum values must occur")
         if self.n0 + self.n1 != self.n:
@@ -197,24 +200,31 @@ def erdos_gallai_check(degrees: Sequence[int]) -> bool:
     return True
 
 
-def classify_degrees(degrees: Sequence[int]) -> str:
-    """Classify a degree vector as 'regular' (one value), 'span-one' (two
-    adjacent values) or 'unsupported' (anything wider). A spread that is not
-    whole, as between 3 and 2.5, raises ValueError: no integer vector has it.
-    The entries are not checked one by one; `check_degree_sequence` checks
-    the largest."""
+# Degree class by spread, max - min; any wider spread is unsupported.
+_KINDS = {0: "regular", 1: "span-one"}
+
+
+def _degree_gate(degrees: Sequence[int]) -> tuple[tuple, int, str]:
+    """The degrees as a tuple, their largest value and their class, after the
+    one check every degree list passes: it must be nonempty, and every degree
+    a nonnegative integer. A ValueError names the first degree that is no
+    integer."""
+    degrees = tuple(degrees)
     if not degrees:
         raise ValueError("degree sequence must be nonempty")
-    if any(x < 0 for x in degrees):
+    _integers(degrees, "degrees must be integers")
+    low, v = min(degrees), max(degrees)
+    if low < 0:
         raise ValueError("degrees must be nonnegative")
-    spread = max(degrees) - min(degrees)
-    if spread % 1:
-        raise ValueError(f"degrees must be integers, got a spread of {spread!r}")
-    if spread == 0:
-        return "regular"
-    if spread == 1:
-        return "span-one"
-    return "unsupported"
+    return degrees, v, _KINDS.get(v - low, "unsupported")
+
+
+def classify_degrees(degrees: Sequence[int]) -> str:
+    """Classify a degree vector as 'regular' (one value), 'span-one' (two
+    adjacent values) or 'unsupported' (anything wider). An empty vector, a
+    negative degree or a degree that is no integer, such as 2.5 or 2.0,
+    raises ValueError."""
+    return _degree_gate(degrees)[2]
 
 
 @dataclass(frozen=True)
@@ -232,14 +242,13 @@ class DegreeCheck:
 
 def check_degree_sequence(degrees: Sequence[int], h: int) -> DegreeCheck:
     """Classify `degrees` and run the matching feasibility check for edge
-    size h. An edge size or a largest degree that is no integer, such as 2.5
-    or 3.0, raises ValueError, as does a spread that is not whole; the
-    integer check of the other entries is left to the caller (`realize`
-    makes it), so a float strictly between v-1 and v passes as v-1."""
-    h, v = _integers((h, max(degrees, default=0)), "edge size and degrees")
+    size h. The degrees may come in any order. An edge size that is no
+    positive integer raises ValueError, and so does any degree list that
+    `classify_degrees` refuses: each degree is checked, wherever it stands."""
+    _integers((h,), "edge size must be an integer")
     if h < 1:
         raise ValueError("edge size must be positive")
-    kind = classify_degrees(degrees)
+    degrees, v, kind = _degree_gate(degrees)
     n = len(degrees)
     if kind == "unsupported":
         return DegreeCheck(kind, None, None)
@@ -248,6 +257,6 @@ def check_degree_sequence(degrees: Sequence[int], h: int) -> DegreeCheck:
             return DegreeCheck(kind, None, Feasibility(False, "integrality", None))
         inst = RegularInstance(n=n, m=n * v // h, h=h, v=v)
         return DegreeCheck(kind, inst, check_regular(inst))
-    n0 = sum(x == v for x in degrees)
+    n0 = degrees.count(v)
     span_inst = SpanOneInstance(n=n, h=h, v=v, n0=n0, n1=n - n0)
     return DegreeCheck(kind, span_inst, check_span_one(span_inst))

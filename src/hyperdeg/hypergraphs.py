@@ -19,7 +19,6 @@ from .feasibility import (
     Feasibility,
     RegularInstance,
     SpanOneInstance,
-    _integers,
     check_degree_sequence,
 )
 from .reconstruct import _BUILDERS
@@ -122,9 +121,10 @@ class RealizationResult:
 def realize(degrees: Iterable[int] | Sequence[int], h: int) -> RealizationResult:
     """Realize a degree sequence as an h-uniform hypergraph without parallel
     edges. Supported shapes are regular and span-one sequences, in any order:
-    vertices 1..n0 take the larger degree of a span-one sequence. A degree
-    or edge size that is no integer, such as 2.5 or "3", raises ValueError."""
-    check = check_degree_sequence(_integers(tuple(degrees), "degrees"), h)
+    vertices 1..n0 take the larger degree of a span-one sequence. The degrees
+    and h pass `check_degree_sequence` as given: a degree or edge size that
+    is no integer, such as 2.5, 2.0 or "3", raises ValueError naming it."""
+    check = check_degree_sequence(degrees, h)
     if check.kind == "unsupported":
         return RealizationResult("unsupported", reason="span>1")
     assert check.result is not None

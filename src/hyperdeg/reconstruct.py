@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, not_
@@ -126,18 +126,9 @@ class LevelPlan:
     density: int  # reduced word density h/divisor
     full_words: int  # Lyndon words expanded to full rotation classes
     partial_blocks: int  # coset blocks of the reserved word, 0 unless filling
-    offset: int  # first output row written by this level
-    reserved_offset: int | None  # row where the reserved word's class starts
-    blocks_offset: int | None  # row where the coset blocks start
 
     def to_json_dict(self) -> dict:
-        return {
-            "divisor": self.divisor,
-            "length": self.length,
-            "density": self.density,
-            "full_words": self.full_words,
-            "partial_blocks": self.partial_blocks,
-        }
+        return asdict(self)
 
 
 class _RendersRows:
@@ -229,7 +220,6 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
 
     segments: list[_Segment] = []
     levels: list[LevelPlan] = []
-    nrows = 0
     remaining = v
     for d in common_divisors(n, h):
         if remaining == 0:
@@ -238,7 +228,6 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
         available = count_lyndon(length, dens)
         q = min(remaining // dens, available)
         fill_here = remaining - q * dens > 0 and q < available
-        offset = nrows
         # A Lyndon word is aperiodic, so its d-fold tiling has `length`
         # distinct rotations: the rows of shift_matrix(word * d). The
         # reserved word is the least Lyndon word, so the first pulled: a
@@ -248,26 +237,20 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
         if len(words) != q:
             raise ConstructionInvariantError("ran out of Lyndon words", inst, d)
         segments.extend([(word * d, range(length)) for word in words])
-        nrows += q * length
-        reserved_offset = offset if q and not fill_here else None
         remaining -= q * dens
         blocks = 0
-        blocks_offset: int | None = None
         if fill_here:
             g = math.gcd(length, dens)
             if (remaining * g) % dens:
                 raise ConstructionInvariantError("coset fill is not integral", inst, d)
             blocks = remaining * g // dens
-            blocks_offset = nrows
             # block_submatrix(length, dens, j) for j < blocks, every row tiled
             # d times: one segment, the reserved word and the blocks' rotations.
             reserved, _ = _coset_block(length, dens, 0)
             shifts = [k for j in range(blocks) for k in _coset_block(length, dens, j)[1]]
             segments.append((reserved * d, shifts))
             remaining = 0
-        levels.append(
-            LevelPlan(d, length, dens, q, blocks, offset, reserved_offset, blocks_offset)
-        )
+        levels.append(LevelPlan(d, length, dens, q, blocks))
     if remaining != 0:
         raise ConstructionInvariantError("column sums left unmet after all levels", inst)
     return segments, tuple(levels)

@@ -115,8 +115,6 @@ def test_criterion_04_second_worked_example():
         assert level.full_words == 1
         assert level.partial_blocks == 2
         # the withheld word 0^6 1^3 appears only through its coset blocks
-        assert level.reserved_offset is None
-        assert level.blocks_offset == 9
         assert rows[9:12] == tuple(cyclic_shift("000000111", 3 * i) for i in range(3))
         assert rows[12:15] == tuple(cyclic_shift("100000011", 3 * i) for i in range(3))
         assert verify(built.matrix, inst).ok

@@ -367,6 +367,28 @@ class TestNegativeDegrees:
         assert call("check", "--h", "2", f"--degrees={value}") == (code, out, err)
 
 
+class TestDegreeGate:
+    """--n and --v build a degree list that passes the same check as any
+    other: a list of no degrees or of negative ones is a usage error."""
+
+    @pytest.mark.parametrize("command", ["check", "reconstruct", "verify"])
+    @pytest.mark.parametrize(
+        "n, v, line",
+        [
+            ("0", "1", "error: degree sequence must be nonempty"),
+            ("4", "-1", "error: degrees must be nonnegative"),
+        ],
+        ids=["no-degrees", "negative-degree"],
+    )
+    def test_refused_with_exit_2(self, tmp_path, command, n, v, line):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("\n")
+        extra = ["--matrix", str(matrix)] if command == "verify" else []
+        code, out, err = call(command, "--h", "2", "--n", n, "--v", v, *extra)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [line]
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("text", ["\n", ""], ids=["reconstruct-output", "empty"])
     def test_no_rows_is_the_matrix_of_no_rows(self, tmp_path, text):

@@ -1,5 +1,8 @@
+import re
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdeg.feasibility import (
@@ -216,9 +219,9 @@ class TestClassification:
     def test_float_degrees_are_refused_not_decided(self):
         # 2.5 * 4 = 5 * 2: the totals balance, but no hypergraph has a
         # vertex of degree 2.5.
-        with pytest.raises(ValueError, match="edge size and degrees must be integers, got 2.5$"):
+        with pytest.raises(ValueError, match="^degrees must be integers, got 2.5$"):
             check_degree_sequence((2.5,) * 4, 2)
-        with pytest.raises(ValueError, match="edge size and degrees must be integers, got 3.0$"):
+        with pytest.raises(ValueError, match="^edge size must be an integer, got 3.0$"):
             check_degree_sequence((5, 5, 5, 4, 4, 4, 4, 4, 4), 3.0)
 
 
@@ -234,10 +237,9 @@ class _RefusesIndex:
 
 class TestIntegerGate:
     """One integer check guards the decision and the construction alike:
-    `check_degree_sequence` refuses a non-integer edge size, largest degree
-    or spread, and `realize` refuses any degree that is no integer. A
-    refusal names the value (a string here is the expected message); a
-    whole float below the largest degree is decided as its integer."""
+    `check_degree_sequence`, and `realize` through it, refuses an edge size
+    or any degree that is no integer, wherever it stands, and names the
+    value (a string here is the expected message)."""
 
     @pytest.mark.parametrize(
         "call, degrees, h, refusal",
@@ -245,12 +247,12 @@ class TestIntegerGate:
             (check_degree_sequence, (2, 2), 2.5, "got 2.5$"),
             (check_degree_sequence, (2.5, 2.5, 2.5), 2, "got 2.5$"),
             (check_degree_sequence, (2, 2.5), 2, "got 2.5$"),
-            (check_degree_sequence, (3, 2.5), 2, "^degrees must be integers, got a spread of 0.5$"),
+            (check_degree_sequence, (3, 2.5), 2, "^degrees must be integers, got 2.5$"),
             (check_degree_sequence, (2.5,) * 4, 2, "got 2.5$"),
             (check_degree_sequence, (5, 5, 5, 4, 4, 4, 4, 4, 4), 3.0, "got 3.0$"),
-            (check_degree_sequence, (2, 2, 2.0, 2), 2, None),
+            (check_degree_sequence, (2, 2, 2.0, 2), 2, "^degrees must be integers, got 2.0$"),
             (realize, (2, 2, 2.0, 2), 2, "^degrees must be integers, got 2.0$"),
-            (realize, (2, 2), 2.5, "^edge size and degrees must be integers, got 2.5$"),
+            (realize, (2, 2), 2.5, "^edge size must be an integer, got 2.5$"),
             (check_degree_sequence, (_RefusesIndex(),), 2, r"got _RefusesIndex\(\)$"),
             (realize, (_RefusesIndex(),), 2, r"^degrees must be integers, got _RefusesIndex\(\)$"),
         ],
@@ -261,7 +263,7 @@ class TestIntegerGate:
             "float-spread",
             "float-totals-balance",
             "whole-float-edge-size",
-            "whole-float-degree-decided",
+            "whole-float-degree-refused",
             "realize-whole-float-degree",
             "realize-float-edge-size",
             "index-raises-type-error",
@@ -269,12 +271,78 @@ class TestIntegerGate:
         ],
     )
     def test_refuses_what_no_integer_sequence_has(self, call, degrees, h, refusal):
-        if refusal is None:
-            assert call(degrees, h) == call(tuple(map(int, degrees)), h)
-            assert call(degrees, h).instance == RegularInstance(4, 4, 2, 2)
-            return
         with pytest.raises(ValueError, match=refusal):
             call(degrees, h)
+
+
+def _reference_check(degrees, h):
+    """Kind, n0 and instance of an integer degree list, from its least and
+    largest value and the count of the largest."""
+    n, low, v = len(degrees), min(degrees), max(degrees)
+    if v - low > 1:
+        return "unsupported", None, None
+    if v == low:
+        instance = RegularInstance(n, n * v // h, h, v) if (n * v) % h == 0 else None
+        return "regular", None, instance
+    n0 = degrees.count(v)
+    return "span-one", n0, SpanOneInstance(n, h, v, n0, n - n0)
+
+
+_DEGREE_LISTS = st.lists(st.integers(0, 6), min_size=1, max_size=12)
+# A degree list together with one reordering of it.
+_REORDERED = _DEGREE_LISTS.flatmap(lambda d: st.tuples(st.just(d), st.permutations(d)))
+
+
+class TestOneDegreeGate:
+    """Every degree passes one check, wherever it stands in the list."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_REORDERED, st.integers(1, 8))
+    def test_every_ordering_gets_the_reference_verdict(self, lists, h):
+        degrees, reordered = lists
+        check = check_degree_sequence(degrees, h)
+        assert check == check_degree_sequence(tuple(reordered), h)
+        assert check == check_degree_sequence(sorted(degrees), h)
+        kind, n0, instance = _reference_check(degrees, h)
+        assert (check.kind, check.instance) == (kind, instance)
+        if kind == "span-one":
+            assert check.instance.n0 == n0
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        _DEGREE_LISTS,
+        st.integers(1, 8),
+        st.sampled_from([2.5, 2.0, 3.0, "3", _RefusesIndex()]),
+        st.integers(0, 11),
+        st.sampled_from([check_degree_sequence, realize]),
+    )
+    @example([3, 3, 2], 2, 2.5, 1, check_degree_sequence)
+    @example([2, 2, 2, 2], 2, 2.0, 0, check_degree_sequence)
+    @example([2, 2, 2, 2], 2, 2.0, 3, check_degree_sequence)
+    @example([3, 3, 2], 2, 3.0, 1, check_degree_sequence)
+    def test_a_degree_that_is_no_integer_is_named(self, degrees, h, bad, position, call):
+        degrees = list(degrees)
+        degrees[position % len(degrees)] = bad
+        refusal = f"^degrees must be integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=refusal):
+            call(degrees, h)
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [(3,) * 400_000, (2,) * 200_000 + (1,) * 200_000],
+        ids=["regular", "span-one"],
+    )
+    def test_checks_a_long_tuple_without_copying_it(self, degrees):
+        # A copy of the tuple, such as tuple(map(index, degrees)), takes 3.2 MB.
+        check_degree_sequence((3, 3), 2)  # what a first call sets up is not counted
+        tracemalloc.start()
+        try:
+            check = check_degree_sequence(degrees, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.result.feasible
+        assert peak < 64 * 1024
 
 
 class TestCharacterizationAgainstOracle:

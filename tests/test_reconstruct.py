@@ -284,8 +284,6 @@ class TestRecRegularWorkedExamples:
         assert rows[12:] == tuple(cyclic_shift("100000011", 3 * i) for i in range(3))
         (level,) = built.levels
         assert (level.divisor, level.full_words, level.partial_blocks) == (1, 1, 2)
-        assert level.reserved_offset is None
-        assert level.blocks_offset == 9
         assert verify(built.matrix, built.instance).ok
 
     def test_4_2_2_1_pure_partial_fill(self):
