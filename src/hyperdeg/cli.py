@@ -53,7 +53,10 @@ def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
         with open(args.degrees_file, encoding="utf-8") as handle:
             raw = _degree_list(handle, f"degree file {args.degrees_file} is empty")
     elif args.n is not None and args.v is not None:
-        raw = (args.v,) * args.n
+        try:
+            raw = (args.v,) * args.n
+        except (OverflowError, MemoryError):
+            raise ValueError(f"--n {args.n} is too large for a degree list") from None
     else:
         raise ValueError("give --degrees, --degrees-file, or both --n and --v")
     ordered = tuple(sorted(raw, reverse=True))
@@ -130,8 +133,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     check = check_degree_sequence(degrees, args.h)
     if check.kind == "unsupported":
         print(json.dumps({"supported": False, "reason": "span>1"}))
-        print("degree sequence spans more than two values", file=sys.stderr)
-        return EXIT_NEGATIVE
+        return _refuse_span_over_one()
     assert check.result is not None
     print(json.dumps(check.result.to_json_dict()))
     return EXIT_OK if check.result.feasible else EXIT_NEGATIVE

@@ -3,10 +3,10 @@ projections, plus the classical Gale-Ryser and Erdos-Gallai checks.
 
 A regular instance asks for m distinct rows of sum h whose n columns all sum
 to v; a span-one instance allows the column sums to take the two adjacent
-values v and v-1. Both are decided by three exact integer conditions:
-bounds (h <= n unless m = 0, and v <= m), the counting identity between row
-and column totals, and the capacity bound v*n <= h*C(n,h) that caps the
-number of distinct rows at C(n,h).
+values v and v-1. Both are decided by one verdict over three exact integer
+conditions: bounds (h <= n unless m = 0, and v <= m), the counting identity
+m*h = total ones, and the capacity m <= C(n,h), the number of distinct rows
+of h ones.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 from operator import index
-
-from .necklaces import binomial
 
 __all__ = [
     "DegreeCheck",
@@ -122,20 +121,23 @@ class Feasibility:
         return {"feasible": self.feasible, "violated": self.violated, "m": self.m}
 
 
-def check_regular(inst: RegularInstance) -> Feasibility:
-    """Decide whether a distinct-row matrix with homogeneous projections
-    exists. Violations are reported in the fixed order bounds, totals,
-    capacity."""
-    n, m, h, v = inst.n, inst.m, inst.h, inst.v
+def _verdict(n: int, m: int, h: int, v: int, ones: int) -> Feasibility:
+    """The verdict on m distinct rows of h ones over n columns, the largest
+    column sum v and `ones` ones in all, reporting the first violation in
+    the fixed order bounds, totals, capacity."""
     if (h > n and m > 0) or v > m:
         return Feasibility(False, "cond2", m)
-    if m * h != n * v:
+    if m * h != ones:
         return Feasibility(False, "cond1", m)
-    # Capacity: at most C(n,h) distinct rows of sum h exist. For h = 0 the
-    # v-form is vacuous, so cap the row count directly.
-    if v * n > h * binomial(n, h) or (h == 0 and m > 1):
+    if m > comb(n, h):
         return Feasibility(False, "cond3", m)
     return Feasibility(True, None, m)
+
+
+def check_regular(inst: RegularInstance) -> Feasibility:
+    """Decide whether a distinct-row matrix with homogeneous projections
+    exists."""
+    return _verdict(inst.n, inst.m, inst.h, inst.v, inst.n * inst.v)
 
 
 def check_span_one(inst: SpanOneInstance) -> Feasibility:
@@ -143,13 +145,7 @@ def check_span_one(inst: SpanOneInstance) -> Feasibility:
     A non-integral row count is reported as `integrality`."""
     if inst.ones_total % inst.h:
         return Feasibility(False, "integrality", None)
-    m = inst.m
-    if inst.h > inst.n or inst.v > m:
-        return Feasibility(False, "cond2", m)
-    # The totals condition m*h = n*v - n1 holds by construction of m.
-    if inst.v * inst.n > inst.h * binomial(inst.n, inst.h):
-        return Feasibility(False, "cond3", m)
-    return Feasibility(True, None, m)
+    return _verdict(inst.n, inst.m, inst.h, inst.v, inst.ones_total)
 
 
 def conjugate(values: Sequence[int]) -> tuple[int, ...]:

@@ -208,8 +208,9 @@ def rec_regular_with_plan(inst: RegularInstance) -> RegularReconstruction:
 
 def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPlan, ...]]:
     """Segments and level plans of the homogeneous build of a feasible
-    instance, unchecked: every segment is a word built here, and the caller
-    checks what it emits."""
+    instance, unchecked: every segment is a word built here, and the
+    caller's `_check_plan` is the one check of the plan, its arithmetic
+    included."""
     n, m, h, v = inst.n, inst.m, inst.h, inst.v
     if m == 0:
         return [], ()
@@ -240,10 +241,7 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
         remaining -= q * dens
         blocks = 0
         if fill_here:
-            g = math.gcd(length, dens)
-            if (remaining * g) % dens:
-                raise ConstructionInvariantError("coset fill is not integral", inst, d)
-            blocks = remaining * g // dens
+            blocks = remaining * math.gcd(length, dens) // dens
             # block_submatrix(length, dens, j) for j < blocks, every row tiled
             # d times: one segment, the reserved word and the blocks' rotations.
             reserved, _ = _coset_block(length, dens, 0)
@@ -251,8 +249,6 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
             segments.append((reserved * d, shifts))
             remaining = 0
         levels.append(LevelPlan(d, length, dens, q, blocks))
-    if remaining != 0:
-        raise ConstructionInvariantError("column sums left unmet after all levels", inst)
     return segments, tuple(levels)
 
 
@@ -290,19 +286,15 @@ def _plan_span_one(
     segments, levels = _plan_regular(lifted)
     deleted = lifted.m - inst.m
 
-    # The base level holds 0^(n-h) 1^h, as a whole rotation class or as the
-    # segment of its coset blocks, block 0 first; words tiled at higher levels
-    # are periodic, so no other segment does. Its shifts j*h mod n for
-    # j < deleted, all in block 0, are cut: deleted row j has its ones at
-    # [n-(j+1)h, n-jh) mod n, so the deleted rows cover n*(lifted.v - v) + n1
-    # cells running down from column n-1: only the last n1 columns drop to
-    # v-1, and the columns need no reordering.
+    # The base level, divisor 1, always runs, and 0^(n-h) 1^h is its least
+    # Lyndon word: its first whole class, or, when the level fills, the
+    # segment of its coset blocks, block 0 first, after the level's classes.
+    # Its shifts j*h mod n for j < deleted, all in block 0, are cut: deleted
+    # row j has its ones at [n-(j+1)h, n-jh) mod n, so the deleted rows cover
+    # n*(lifted.v - v) + n1 cells running down from column n-1: only the last
+    # n1 columns drop to v-1, and the columns need no reordering.
     reserved, block_shifts = _coset_block(n, h, 0)
-    i = next((i for i, (word, _) in enumerate(segments) if word == reserved), None)
-    if i is None:
-        raise ConstructionInvariantError(
-            "reserved class missing from base level", inst, levels[0].divisor
-        )
+    i = levels[0].full_words if levels[0].partial_blocks else 0
     doomed = set(block_shifts[:deleted])
     segments[i] = (reserved, [k for k in segments[i][1] if k not in doomed])
     return lifted, segments, levels

@@ -388,6 +388,20 @@ class TestDegreeGate:
         assert (code, out) == (2, "")
         assert err.splitlines() == [line]
 
+    @pytest.mark.parametrize("command", ["check", "reconstruct", "verify", "oracle"])
+    @pytest.mark.parametrize(
+        "n", ["10000000000000000000", "4611686018427387904"], ids=["past-ssize_t", "2^62"]
+    )
+    def test_an_n_too_large_for_a_list_is_a_usage_error(self, tmp_path, command, n):
+        # Past the index range the tuple repeat raises OverflowError; at 2^62
+        # it raises MemoryError before it allocates anything.
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("\n")
+        extra = ["--matrix", str(matrix)] if command == "verify" else []
+        code, out, err = call(command, "--h", "2", "--n", n, "--v", "1", *extra)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: --n {n} is too large for a degree list"]
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("text", ["\n", ""], ids=["reconstruct-output", "empty"])
@@ -423,6 +437,8 @@ class TestVerifyCommand:
         refusal = (1, "", "unsupported degree class: span>1\n")
         assert call("verify", "--h", "2", "--degrees", "3,2,1", "--matrix", str(path)) == refusal
         assert call("reconstruct", "--h", "2", "--degrees", "3,2,1") == refusal
+        supported = '{"supported": false, "reason": "span>1"}\n'
+        assert call("check", "--h", "2", "--degrees", "3,2,1") == (1, supported, refusal[2])
 
     @pytest.mark.parametrize(
         "change, problem",

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -375,3 +376,90 @@ class TestCharacterizationAgainstOracle:
                                 exists_distinct_rows(n, h, vector)
                             continue
                         assert verdict.feasible == exists_distinct_rows(n, h, vector).exists, inst
+
+
+def _product_form_regular(inst):
+    """check_regular with capacity in its product form, v*n <= h*C(n, h),
+    which caps nothing when h = 0, so the row count is capped there."""
+    n, m, h, v = inst.n, inst.m, inst.h, inst.v
+    if (h > n and m > 0) or v > m:
+        return Feasibility(False, "cond2", m)
+    if m * h != n * v:
+        return Feasibility(False, "cond1", m)
+    if v * n > h * math.comb(n, h) or (h == 0 and m > 1):
+        return Feasibility(False, "cond3", m)
+    return Feasibility(True, None, m)
+
+
+def _product_form_span_one(inst):
+    """check_span_one with capacity in its product form."""
+    n, h, v = inst.n, inst.h, inst.v
+    if (n * v - inst.n1) % h:
+        return Feasibility(False, "integrality", None)
+    m = (n * v - inst.n1) // h
+    if h > n or v > m:
+        return Feasibility(False, "cond2", m)
+    if v * n > h * math.comb(n, h):
+        return Feasibility(False, "cond3", m)
+    return Feasibility(True, None, m)
+
+
+class TestCapacityAsARowCount:
+    """Capacity as m <= C(n, h) gives the verdicts of its product form,
+    v*n <= h*C(n, h) with m <= 1 for h = 0: for a regular instance the two
+    differ by the factor h, and for a span-one instance no row count falls
+    between them, since n divides neither n*v - n1 nor any value within n1
+    below h*C(n, h) = n*C(n-1, h-1)."""
+
+    def test_every_small_regular_instance(self):
+        checked = 0
+        for n in range(1, 31):
+            for h in range(n + 3):
+                for m in range(min(math.comb(n, h) + 2, 61) + 1):
+                    for v in range(m + 2):
+                        inst = RegularInstance(n, m, h, v)
+                        assert check_regular(inst) == _product_form_regular(inst), inst
+                        checked += 1
+        assert checked == 752_363
+
+    def test_every_small_span_one_instance(self):
+        checked = 0
+        for n in range(2, 31):
+            for h in range(1, n + 4):
+                for v in range(1, min(math.comb(n - 1, h - 1) + 3, 80)):
+                    for n0 in range(1, n):
+                        inst = SpanOneInstance(n, h, v, n0, n - n0)
+                        assert check_span_one(inst) == _product_form_span_one(inst), inst
+                        checked += 1
+        assert checked == 590_408
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    @pytest.mark.parametrize("h", [2, 3, 7, "n/2"])
+    @pytest.mark.parametrize("n1", [0, 1, "n-1"], ids=["regular", "n1=1", "n1=n-1"])
+    def test_at_the_capacity_edge_for_large_n(self, n, h, n1):
+        # v = C(n-1, h-1) is the largest degree capacity allows a regular
+        # instance, with m = C(n, h). A span-one instance has an integral row
+        # count only when gcd(n, h) divides n1, every h/gcd(n, h)-th v; the
+        # last such v up to the edge is feasible and the next is refused by
+        # capacity alone.
+        h = n // 2 if h == "n/2" else h
+        n1 = n - 1 if n1 == "n-1" else n1
+        edge = math.comb(n - 1, h - 1)
+
+        def verdicts(v):
+            if n1:
+                inst = SpanOneInstance(n, h, v, n - n1, n1)
+                return check_span_one(inst), _product_form_span_one(inst)
+            inst = RegularInstance(n, n * v // h, h, v)
+            return check_regular(inst), _product_form_regular(inst)
+
+        admissible = [v for v in range(edge - h, edge + h + 1) if (n * v - n1) % h == 0]
+        below = [v for v in admissible if v <= edge][-1:]
+        above = [v for v in admissible if v > edge][:1]
+        for v in {edge, edge + 1, *below, *above}:
+            verdict, reference = verdicts(v)
+            assert verdict == reference, (n, h, n1, v)
+        assert bool(admissible) == (n1 % math.gcd(n, h) == 0)
+        if admissible:
+            assert verdicts(*below)[0].feasible
+            assert verdicts(*above)[0].violated == "cond3"

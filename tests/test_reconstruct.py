@@ -143,12 +143,26 @@ class TestPlanCheck:
     @pytest.mark.parametrize(
         "inst, segments, message",
         [
+            # A fill one block short, as a coset fill that is not integral
+            # would plan it, and a class missing, as a level that leaves the
+            # column sums unmet would: `_check_plan` is the only check of both.
             (
                 RegularInstance(9, 15, 3, 5),
                 _BLOCKS[:1] + [("000000111", [0, 3, 6])],
                 "built 12 edges, expected 15",
             ),
             (RegularInstance(6, 15, 2, 5), _CLASSES[1:], "built 9 edges, expected 15"),
+            # A word one column short, and one with a one too many.
+            (
+                RegularInstance(9, 15, 3, 5),
+                [("00001011", range(9)), _BLOCKS[1]],
+                "built a vertex outside 1..n",
+            ),
+            (
+                RegularInstance(9, 15, 3, 5),
+                [("000011011", range(9)), _BLOCKS[1]],
+                "built an edge not of size 3",
+            ),
             # A class or a block twice, in place of the segment after it.
             (RegularInstance(6, 15, 2, 5), _CLASSES[:1] * 2 + _CLASSES[2:], "built parallel edges"),
             (
@@ -205,6 +219,8 @@ class TestPlanCheck:
         ids=[
             "dropped-block",
             "dropped-class",
+            "word-one-column-short",
+            "word-one-one-too-many",
             "duplicated-class",
             "duplicated-block",
             "block-shift-onto-a-row",
@@ -339,6 +355,31 @@ class TestConstructionInvariantError:
             rec_span_one_with_plan(inst)
         assert (info.value.instance, info.value.divisor) == (inst, None)
         assert str(info.value) == f"column sums missed the target vector of {inst}"
+
+    def test_an_edge_lost_after_the_plan_check_is_counted(self, monkeypatch):
+        edges = reconstruct._edges
+        monkeypatch.setattr(reconstruct, "_edges", lambda segments: edges(segments)[:-1])
+        with pytest.raises(ConstructionInvariantError, match="built 14 edges, expected 15 of"):
+            realize((5,) * 6, 2)
+
+    def test_the_span_one_cut_takes_the_base_levels_reserved_segment_by_index(self, monkeypatch):
+        # Level 1 of the lift of (5, 2, 3, 4, 1) takes the classes of 00011
+        # and 00101 whole and no coset block, so the reserved class is
+        # segment 0. With the two swapped, the cut lands on the class of
+        # 00101, and the plan check refuses the plan.
+        plan = reconstruct._plan_regular
+
+        def swapped(inst):
+            segments, levels = plan(inst)
+            assert [word for word, _ in segments] == ["00011", "00101"]
+            assert (levels[0].full_words, levels[0].partial_blocks) == (2, 0)
+            return segments[1::-1] + segments[2:], levels
+
+        monkeypatch.setattr(reconstruct, "_plan_regular", swapped)
+        inst = SpanOneInstance(5, 2, 3, 4, 1)
+        with pytest.raises(ConstructionInvariantError) as info:
+            rec_span_one_with_plan(inst)
+        assert str(info.value) == f"built parallel edges of {inst}"
 
 
 class _Counted:
