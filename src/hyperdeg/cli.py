@@ -121,8 +121,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     _, generate = _WORDS[args.kind]
-    # Exactly --limit words are pulled; a limit below zero takes none.
-    limit = None if args.limit is None else max(args.limit, 0)
+    # Exactly --limit words are pulled; a limit below zero takes none, and one
+    # past sys.maxsize (more than any stream holds) takes them all.
+    limit = None if args.limit is None else min(max(args.limit, 0), sys.maxsize)
     for word in itertools.islice(generate(args.n, args.h), limit):
         print(word)
     return EXIT_OK

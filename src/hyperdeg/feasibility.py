@@ -97,11 +97,11 @@ class SpanOneInstance:
         return self.n * self.v - self.n1
 
     @property
-    def m(self) -> int:
-        total = self.ones_total
-        if total % self.h:
-            raise ValueError("row count is not integral for this instance")
-        return total // self.h
+    def m(self) -> int | None:
+        """The row count, ones_total / h; None when h does not divide
+        ones_total, so that no integral row count exists."""
+        m, rest = divmod(self.ones_total, self.h)
+        return None if rest else m
 
     def degree_vector(self) -> tuple[int, ...]:
         return (self.v,) * self.n0 + (self.v - 1,) * self.n1
@@ -142,10 +142,12 @@ def check_regular(inst: RegularInstance) -> Feasibility:
 
 def check_span_one(inst: SpanOneInstance) -> Feasibility:
     """Decide whether a distinct-row matrix with span-one column sums exists.
-    A non-integral row count is reported as `integrality`."""
-    if inst.ones_total % inst.h:
+    An instance with no integral row count (`inst.m` is None) is reported as
+    `integrality`."""
+    m = inst.m
+    if m is None:
         return Feasibility(False, "integrality", None)
-    return _verdict(inst.n, inst.m, inst.h, inst.v, inst.ones_total)
+    return _verdict(inst.n, m, inst.h, inst.v, inst.ones_total)
 
 
 def conjugate(values: Sequence[int]) -> tuple[int, ...]:
@@ -228,8 +230,8 @@ class DegreeCheck:
     """Classification of a degree vector together with the matching
     feasibility verdict. Instance and result are None when unsupported.
     Instance alone is None for a regular sequence with no integral row count;
-    a span-one sequence keeps its `SpanOneInstance` even then, with the
-    verdict `integrality`."""
+    a span-one sequence keeps its `SpanOneInstance` even then (its `m` is
+    None), with the verdict `integrality`."""
 
     kind: str
     instance: RegularInstance | SpanOneInstance | None

@@ -111,7 +111,8 @@ def _generate(n: int, d: int, lyndon: bool) -> Iterator[str]:
     # that cannot reach exactly d ones pruned away. Trying 0 before 1 at every
     # position makes the output order lexicographic; a leaf at depth n is a
     # necklace when its longest-prefix period p divides n, and a Lyndon word
-    # when p == n. The density class is checked at the call, not at the first word.
+    # when p == n. The density class and the word buffer are checked at the
+    # call, not at the first word.
     #
     # A node that already holds all d >= 1 ones but not all n symbols is cut:
     # the word would end in 0, and a necklace with a 1 ends in 1 (rotating a
@@ -126,8 +127,13 @@ def _generate(n: int, d: int, lyndon: bool) -> Iterator[str]:
     _check_density_class(n, d)
     zero, one = ord("0"), ord("1")
     # ASCII '0'/'1' symbols, so a leaf is emitted by one C-level decode;
-    # word[0] is the sentinel read by the copy step.
-    word = bytearray(b"0" * (n + 1))
+    # word[0] is the sentinel read by the copy step. CPython refuses a length
+    # past the index range (OverflowError) or the address space (MemoryError)
+    # before it allocates.
+    try:
+        word = bytearray(b"0" * (n + 1))
+    except (OverflowError, MemoryError):
+        raise ValueError(f"word length {n} is too large to store") from None
 
     def extend(t: int, p: int, ones: int) -> Iterator[str]:
         if ones > d or d - ones > n - t + 1:

@@ -463,16 +463,13 @@ def verify(
     """True iff the matrix has the instance's shape, pairwise distinct rows,
     every row sum equal to h, and column sums matching the instance's degree
     vector as a multiset. Properties are checked in that order, and the first
-    that fails is the `problem`.
+    that fails is the `problem`. An instance with no integral row count
+    (`m` is None) fits no shape.
 
     Rows of at least `_SPARSE` columns per one (n >= _SPARSE * h) are read by
     their ones (`_problem_by_ones`); denser ones cell by cell. Both give the
     same verdict."""
-    try:
-        expected_m = instance.m
-    except ValueError:
-        return VerifyResult(False, "shape")
-    if matrix.ncols != instance.n or matrix.nrows != expected_m:
+    if matrix.ncols != instance.n or matrix.nrows != instance.m:
         return VerifyResult(False, "shape")
     by_ones = matrix.ncols >= _SPARSE * instance.h
     problem = (_problem_by_ones if by_ones else _problem_by_cells)(

@@ -88,6 +88,30 @@ class TestGen:
         code, out, _ = call(*argv)
         assert code == 0 and out.split() == pulled == words[:limit]
 
+    def test_a_limit_past_sys_maxsize_takes_every_word(self):
+        argv = ("gen", "--n", "10", "--h", "3", "--kind", "lyndon")
+        everything = call(*argv, "--limit", "1000")
+        assert everything[0] == 0 and len(everything[1].split()) == 12
+        assert call(*argv, "--limit", "100000000000000000000") == everything
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--h", "1", "--kind", "lyndon"),
+            ("gen", "--h", "1", "--kind", "necklace"),
+            ("gen", "--h", "1", "--kind", "necklace", "--limit", "0"),
+            ("bipartite", "--k", "2"),
+        ],
+        ids=["lyndon", "necklace", "necklace-no-words", "bipartite"],
+    )
+    @pytest.mark.parametrize(
+        "n", ["100000000000000000000", "4611686018427387904"], ids=["past-ssize_t", "2^62"]
+    )
+    def test_a_word_too_long_to_store_is_a_usage_error(self, argv, n):
+        code, out, err = call(*argv, "--n", n)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: word length {n} is too large to store"]
+
 
 class TestCheck:
     def test_feasible_span_one(self, capsys):

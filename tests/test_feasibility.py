@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -62,11 +63,18 @@ class TestInstances:
             build()
 
     def test_span_one_derived_row_count(self):
-        inst = SpanOneInstance(9, 3, 5, 3, 6)
-        assert inst.m == 13
-        bad = SpanOneInstance(4, 2, 3, 3, 1)
-        with pytest.raises(ValueError):
-            bad.m
+        assert SpanOneInstance(9, 3, 5, 3, 6).m == 13
+        assert SpanOneInstance(4, 2, 3, 3, 1).m is None
+        # Every instance with n <= 12, h <= n + 1 and v <= 7: m is None
+        # exactly when h does not divide the ones, and counts their rows
+        # otherwise.
+        for n in range(2, 13):
+            for h, v, n0 in itertools.product(range(1, n + 2), range(1, 8), range(1, n)):
+                inst = SpanOneInstance(n, h, v, n0, n - n0)
+                if inst.ones_total % h:
+                    assert inst.m is None, inst
+                else:
+                    assert inst.m * h == inst.ones_total, inst
 
 
 class TestCheckRegular:

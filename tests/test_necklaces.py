@@ -199,6 +199,14 @@ class TestGeneration:
         assert list(gen_lyndon(5, 5)) == []
         assert list(gen_necklaces(5, 0)) == ["00000"]
 
+    @pytest.mark.parametrize("generate", [gen_lyndon, gen_necklaces])
+    @pytest.mark.parametrize("n", [10**20, 2**62], ids=["past-ssize_t", "2^62"])
+    def test_a_word_too_long_to_store_is_refused_at_the_call(self, generate, n):
+        # Past the index range the word buffer raises OverflowError; at 2^62
+        # it raises MemoryError before it allocates anything.
+        with pytest.raises(ValueError, match=f"^word length {n} is too large to store$"):
+            generate(n, 1)
+
     def test_streams_restart_independently(self):
         first = gen_lyndon(6, 3)
         assert next(first) == "000111"

@@ -2,7 +2,7 @@ import functools
 import math
 import random
 from collections import Counter
-from itertools import chain, filterfalse
+from itertools import chain, cycle, filterfalse, islice, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,6 +15,7 @@ from hyperdeg.necklaces import binomial, gen_lyndon
 from hyperdeg.reconstruct import (
     _BUILDERS,
     ConstructionInvariantError,
+    VerifyResult,
     rec_regular_with_plan,
     rec_span_one_with_plan,
     twin_free_bipartite,
@@ -591,8 +592,21 @@ class TestVerify:
         assert verify(BinaryMatrix(("0011", "0101", "0110"), 4), inst).problem == "column sum"
 
     def test_non_integral_instance_fails_shape(self):
-        inst = SpanOneInstance(4, 2, 3, 3, 1)
-        assert verify(BinaryMatrix(("0011",), 4), inst).problem == "shape"
+        # Every instance with n <= 8, h <= n + 1 and v <= 7 whose ones h does
+        # not divide (m is None): matrices of n columns with either row count
+        # next to ones / h, their rows of min(h, n) ones, answer `shape`.
+        seen = 0
+        for n in range(2, 9):
+            for h, v, n0 in product(range(1, n + 2), range(1, 8), range(1, n)):
+                inst = SpanOneInstance(n, h, v, n0, n - n0)
+                if inst.m is not None:
+                    continue
+                seen += 1
+                rows = ["".join(r) for r in product("01", repeat=n) if r.count("1") == min(h, n)]
+                for m in (inst.ones_total // h, inst.ones_total // h + 1):
+                    matrix = BinaryMatrix(tuple(islice(cycle(rows), m)), n)
+                    assert verify(matrix, inst) == VerifyResult(False, "shape"), (inst, m)
+        assert seen == 930
 
     def test_reading_by_ones_and_by_cells_agree(self, monkeypatch):
         # Built witnesses, each with up to three rows replaced: by a copy of
