@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from math import comb
 from operator import index
@@ -36,7 +36,8 @@ __all__ = [
 def _integers(values: Sequence, rule: str) -> None:
     """Refuse any value that `operator.index` refuses, such as 2.5, 2.0 or
     "3", with a ValueError that states `rule` and names the first such value:
-    the one integer check of degrees, edge sizes and instance fields. The
+    the one integer check of degrees, edge sizes, instance fields, vertex and
+    column counts, vertices, and word lengths and densities. The
     pass over the values runs in C and keeps nothing; only a refusal walks
     them one by one, to name the value."""
     try:
@@ -118,7 +119,7 @@ class Feasibility:
     m: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {"feasible": self.feasible, "violated": self.violated, "m": self.m}
+        return asdict(self)
 
 
 def _verdict(n: int, m: int, h: int, v: int, ones: int) -> Feasibility:

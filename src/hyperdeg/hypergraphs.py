@@ -19,6 +19,7 @@ from .feasibility import (
     Feasibility,
     RegularInstance,
     SpanOneInstance,
+    _integers,
     check_degree_sequence,
 )
 from .reconstruct import _BUILDERS
@@ -45,9 +46,12 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        _integers((self.n,), "vertex count must be an integer")
         if self.n < 1:
             raise ValueError("vertex count must be positive")
-        normalized = tuple(tuple(sorted(edge)) for edge in self.edges)
+        edges = tuple(map(tuple, self.edges))
+        _integers([vertex for edge in edges for vertex in edge], "vertices must be integers")
+        normalized = tuple(tuple(sorted(edge)) for edge in edges)
         object.__setattr__(self, "edges", normalized)
         _check_edge_set(normalized)
         for edge in normalized:

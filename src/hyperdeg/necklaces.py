@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 
+from .feasibility import _integers
+
 __all__ = [
     "binomial",
     "common_divisors",
@@ -64,6 +66,7 @@ def binomial(n: int, k: int) -> int:
 
 
 def _check_density_class(n: int, d: int) -> None:
+    _integers((n, d), "word length and density must be integers")
     if n < 1:
         raise ValueError("word length must be positive")
     if not 0 <= d <= n:

@@ -212,12 +212,11 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
     caller's `_check_plan` is the one check of the plan, its arithmetic
     included."""
     n, m, h, v = inst.n, inst.m, inst.h, inst.v
-    if m == 0:
-        return [], ()
     if h in (0, n):
-        # Feasibility caps m at 1 (for h = n by capacity, v <= 1): the one row
-        # 0^(n-h) 1^h, all zeros or all ones, which is its own coset block 0.
-        return [_coset_block(n, h, 0)], ()
+        # Feasibility caps m at 1 (for h = n by capacity, v <= 1): no row, or
+        # the one row 0^(n-h) 1^h, all zeros or all ones, its own coset block
+        # 0. For 1 <= h < n, m = 0 means v = 0: the level walk pulls no word.
+        return [_coset_block(n, h, 0)][:m], ()
 
     segments: list[_Segment] = []
     levels: list[LevelPlan] = []
@@ -458,67 +457,54 @@ class VerifyResult:
 
 
 def verify(
-    matrix: BinaryMatrix, instance: RegularInstance | SpanOneInstance
+    matrix: BinaryMatrix, instance: RegularInstance | SpanOneInstance | None
 ) -> VerifyResult:
     """True iff the matrix has the instance's shape, pairwise distinct rows,
     every row sum equal to h, and column sums matching the instance's degree
     vector as a multiset. Properties are checked in that order, and the first
-    that fails is the `problem`. An instance with no integral row count
-    (`m` is None) fits no shape.
+    that fails is the `problem`. No instance (None, as `DegreeCheck` holds for
+    a regular sequence with no integral row count) and an instance with no
+    integral row count (`m` is None) fit no shape.
 
-    Rows of at least `_SPARSE` columns per one (n >= _SPARSE * h) are read by
-    their ones (`_problem_by_ones`); denser ones cell by cell. Both give the
-    same verdict."""
-    if matrix.ncols != instance.n or matrix.nrows != instance.m:
+    Rows are read one of two ways. Rows of at least `_SPARSE` columns per one
+    (n >= _SPARSE * h) are read by their ones (`_read_ones`), keyed by their
+    one-columns, which name them exactly; once a row has other than h ones,
+    by themselves. Denser rows are read by C-level passes over every cell:
+    hashing, counting and column-slicing them."""
+    if instance is None or matrix.ncols != instance.n or matrix.nrows != instance.m:
         return VerifyResult(False, "shape")
-    by_ones = matrix.ncols >= _SPARSE * instance.h
-    problem = (_problem_by_ones if by_ones else _problem_by_cells)(
-        matrix, instance.h, instance.degree_vector()
-    )
-    return VerifyResult(problem is None, problem)
+    rows, h = matrix.rows, instance.h
+    read = _read_ones(rows, h, matrix.ncols) if matrix.ncols >= _SPARSE * h else None
+    keys = read[0] if read else rows
+    if len(set(keys)) != len(keys):
+        return VerifyResult(False, "duplicate rows")
+    if read is None and set(map(str.count, rows, repeat("1"))) - {h}:
+        return VerifyResult(False, "row sum")
+    sums = read[1] if read else matrix.col_sums()
+    if tuple(sorted(sums, reverse=True)) != instance.degree_vector():
+        return VerifyResult(False, "column sum")
+    return VerifyResult(True)
 
 
-def _problem_by_cells(matrix: BinaryMatrix, h: int, degrees: tuple[int, ...]) -> str | None:
-    """The first property a shaped matrix fails, from C-level passes over all
-    its cells: hashing, counting and column-slicing every row."""
-    if len(set(matrix.rows)) != matrix.nrows:
-        return "duplicate rows"
-    if set(map(str.count, matrix.rows, repeat("1"))) - {h}:
-        return "row sum"
-    if tuple(sorted(matrix.col_sums(), reverse=True)) != degrees:
-        return "column sum"
-    return None
-
-
-def _problem_by_ones(matrix: BinaryMatrix, h: int, degrees: tuple[int, ...]) -> str | None:
-    """The first property a shaped matrix fails, from each row's ones alone:
-    `str.find` walks a row up to its (h+1)-th one. A row of h or fewer ones
-    is keyed by their columns, which name it exactly; a row of more is keyed
-    by itself, and fails the row sum. A row of exactly h ones adds one to
-    each of their columns; the column sums matter only when every row has h."""
+def _read_ones(
+    rows: tuple[str, ...], h: int, n: int
+) -> tuple[list[tuple[int, ...]], list[int]] | None:
+    """Each row's one-columns and the n column sums, from `str.find` walking
+    each row up to its (h+1)-th one; None once a row has other than h ones."""
     keys = []
-    sums = [0] * matrix.ncols
-    wrong_sum = False
-    for row in matrix.rows:
+    sums = [0] * n
+    for row in rows:
         ones = []
         p = row.find("1")
         while p >= 0 and len(ones) <= h:
             ones.append(p)
             p = row.find("1", p + 1)
-        if len(ones) == h:
-            for p in ones:
-                sums[p] += 1
-            keys.append(tuple(ones))
-        else:
-            wrong_sum = True
-            keys.append(row if len(ones) > h else tuple(ones))
-    if len(set(keys)) != len(keys):
-        return "duplicate rows"
-    if wrong_sum:
-        return "row sum"
-    if tuple(sorted(sums, reverse=True)) != degrees:
-        return "column sum"
-    return None
+        if len(ones) != h:
+            return None
+        for p in ones:
+            sums[p] += 1
+        keys.append(tuple(ones))
+    return keys, sums
 
 
 def twin_free_bipartite(n: int, k: int) -> BinaryMatrix:

@@ -19,6 +19,8 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
+from .feasibility import _integers
+
 __all__ = [
     "BinaryMatrix",
     "block_submatrix",
@@ -121,6 +123,7 @@ class BinaryMatrix:
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
         n = self.ncols
+        _integers((n,), "column count must be an integer")
         if n < 1:
             raise ValueError("matrix needs at least one column")
         # C-level passes over blocks of joined rows; only a failing block is

@@ -47,6 +47,10 @@ class TestHypergraphType:
             Hypergraph(3, ((1, 1),))
         with pytest.raises(ValueError, match="^edges must be nonempty$"):
             Hypergraph(3, ((),))
+        with pytest.raises(ValueError, match=r"^vertex count must be an integer, got 2\.5$"):
+            Hypergraph(2.5, ((1, 2),))
+        with pytest.raises(ValueError, match=r"^vertices must be integers, got 1\.5$"):
+            Hypergraph(3, ((1.5, 2),))
 
 
 class TestIncidenceConversions:

@@ -98,6 +98,13 @@ class TestCounting:
             count_necklaces(4, 5)
         with pytest.raises(ValueError):
             count_lyndon(4, -1)
+        # A length or density that is no integer is named; the generators
+        # refuse it at the call, before the first word.
+        for function in (count_lyndon, count_necklaces, gen_lyndon, gen_necklaces):
+            for n, d, bad in [(6, 2.0, "2.0"), (6.0, 2, "6.0"), (6, "2", "'2'")]:
+                with pytest.raises(ValueError) as info:
+                    function(n, d)
+                assert str(info.value) == f"word length and density must be integers, got {bad}"
 
 
 def _reference_generate(n, d, lyndon):

@@ -594,7 +594,9 @@ class TestVerify:
     def test_non_integral_instance_fails_shape(self):
         # Every instance with n <= 8, h <= n + 1 and v <= 7 whose ones h does
         # not divide (m is None): matrices of n columns with either row count
-        # next to ones / h, their rows of min(h, n) ones, answer `shape`.
+        # next to ones / h, their rows of min(h, n) ones, answer `shape`, and
+        # so does each against no instance, as a regular sequence with no
+        # integral row count has.
         seen = 0
         for n in range(2, 9):
             for h, v, n0 in product(range(1, n + 2), range(1, 8), range(1, n)):
@@ -606,6 +608,7 @@ class TestVerify:
                 for m in (inst.ones_total // h, inst.ones_total // h + 1):
                     matrix = BinaryMatrix(tuple(islice(cycle(rows), m)), n)
                     assert verify(matrix, inst) == VerifyResult(False, "shape"), (inst, m)
+                    assert verify(matrix, None) == VerifyResult(False, "shape"), m
         assert seen == 930
 
     def test_reading_by_ones_and_by_cells_agree(self, monkeypatch):
@@ -647,6 +650,53 @@ class TestVerify:
             assert verify(matrix, inst) == by_ones, (inst, rows)
             seen[by_ones.problem] += 1
         assert set(seen) == {None, "duplicate rows", "row sum", "column sum"}, seen
+
+    def test_both_readers_give_the_naive_verdict_on_every_small_matrix(self, monkeypatch):
+        # Every instance with n <= 4 and m <= 3, regular (any h <= n, v <= m)
+        # and span-one (h <= n + 1, v <= 3, m integral), against every m-tuple of
+        # words of length n: matrices failing several properties at once,
+        # where the order of the checks decides the verdict. Each is verified
+        # through each reader, forced by the selection constant (h = 0 is
+        # always read by its ones), and must give the verdict of a naive
+        # check of shape, distinct rows, row sums and column sums, in order.
+        def naive(rows, inst):
+            if len(rows) != inst.m:
+                return "shape"
+            if len(set(rows)) != len(rows):
+                return "duplicate rows"
+            if any(row.count("1") != inst.h for row in rows):
+                return "row sum"
+            sums = [sum(row[j] == "1" for row in rows) for j in range(inst.n)]
+            if tuple(sorted(sums, reverse=True)) != inst.degree_vector():
+                return "column sum"
+            return None
+
+        instances = [
+            RegularInstance(n, m, h, v)
+            for n in range(1, 5)
+            for m in range(4)
+            for h in range(n + 1)
+            for v in range(m + 1)
+        ]
+        instances += [
+            inst
+            for n in range(2, 5)
+            for h, v, n0 in product(range(1, n + 2), range(1, 4), range(1, n))
+            for inst in [SpanOneInstance(n, h, v, n0, n - n0)]
+            if inst.m in range(4)
+        ]
+        cases = [
+            (inst, BinaryMatrix(rows, inst.n), naive(rows, inst))
+            for inst in instances
+            for rows in product(["".join(w) for w in product("01", repeat=inst.n)], repeat=inst.m)
+        ]
+        for sparse in (0, 5):
+            monkeypatch.setattr(reconstruct, "_SPARSE", sparse)
+            for inst, matrix, problem in cases:
+                assert verify(matrix, inst).problem == problem, (inst, matrix.rows, sparse)
+        seen = Counter(problem for _, _, problem in cases)
+        assert set(seen) == {None, "duplicate rows", "row sum", "column sum"}, seen
+        assert len(instances) == 159 and len(cases) == 109398
 
 
 class TestTwinFreeBipartite:

@@ -221,6 +221,10 @@ class TestBinaryMatrix:
             BinaryMatrix((), 0)
         with pytest.raises(ValueError):
             BinaryMatrix(("01", ""), 2)
+        for rows, ncols in [((), 2.5), (("01",), 2.0), (("01",), "2")]:
+            with pytest.raises(ValueError) as info:
+                BinaryMatrix(rows, ncols)
+            assert str(info.value) == f"column count must be an integer, got {ncols!r}"
 
     @pytest.mark.parametrize(
         "bad,message",
