@@ -45,7 +45,8 @@ def _degree_list(items: Iterable[str], empty: str) -> tuple[int, ...]:
 
 
 def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
-    """Resolve the degree source options to a nonincreasing vector."""
+    """Resolve the degree source options to a nonincreasing vector; that of
+    --n and --v is returned as built."""
     if args.degrees is not None:
         raw = _degree_list(args.degrees.split(","), "no degrees given")
     elif args.degrees_file is not None:
@@ -53,7 +54,7 @@ def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
             raw = _degree_list(handle, f"degree file {args.degrees_file} is empty")
     elif args.n is not None and args.v is not None:
         try:
-            raw = (args.v,) * args.n
+            return (args.v,) * args.n
         except (OverflowError, MemoryError):
             raise ValueError(f"--n {args.n} is too large for a degree list") from None
     else:

@@ -199,31 +199,43 @@ def erdos_gallai_check(degrees: Sequence[int]) -> bool:
     return True
 
 
-# Degree class by spread, max - min; any wider spread is unsupported.
-_KINDS = {0: "regular", 1: "span-one"}
+def _degree_gate(degrees: Sequence[int]) -> tuple[tuple, int, int, str]:
+    """The degrees as a tuple, their largest value v, the number n0 of
+    degrees equal to v (in a regular or span-one list) and their class,
+    after the one check every degree list passes: it must be nonempty, and
+    every degree a nonnegative integer. A ValueError names the first degree
+    that is no integer.
 
-
-def _degree_gate(degrees: Sequence[int]) -> tuple[tuple, int, str]:
-    """The degrees as a tuple, their largest value and their class, after the
-    one check every degree list passes: it must be nonempty, and every degree
-    a nonnegative integer. A ValueError names the first degree that is no
-    integer."""
+    The class is found by counting. The list is regular when the first
+    degree fills it. Otherwise the first degree's neighbour below, then the
+    one above, is counted; when either fills the list with the first degree,
+    the list is span-one. Only a wider list is read by min and max, for the
+    nonnegative check and its largest value."""
     degrees = tuple(degrees)
     if not degrees:
         raise ValueError("degree sequence must be nonempty")
     _integers(degrees, "degrees must be integers")
-    low, v = min(degrees), max(degrees)
+    n, first = len(degrees), degrees[0]
+    n0 = degrees.count(first)
+    if n0 == n:
+        kind, v, low = "regular", first, first
+    elif n0 + degrees.count(first - 1) == n:
+        kind, v, low = "span-one", first, first - 1
+    elif n0 + (above := degrees.count(first + 1)) == n:
+        kind, v, low, n0 = "span-one", first + 1, first, above
+    else:
+        kind, v, low = "unsupported", max(degrees), min(degrees)
     if low < 0:
         raise ValueError("degrees must be nonnegative")
-    return degrees, v, _KINDS.get(v - low, "unsupported")
+    return degrees, v, n0, kind
 
 
 def classify_degrees(degrees: Sequence[int]) -> str:
     """Classify a degree vector as 'regular' (one value), 'span-one' (two
-    adjacent values) or 'unsupported' (anything wider). An empty vector, a
-    negative degree or a degree that is no integer, such as 2.5 or 2.0,
-    raises ValueError."""
-    return _degree_gate(degrees)[2]
+    adjacent values) or 'unsupported' (anything wider), by counting the
+    first degree and its two neighbours. An empty vector, a negative degree
+    or a degree that is no integer, such as 2.5 or 2.0, raises ValueError."""
+    return _degree_gate(degrees)[3]
 
 
 @dataclass(frozen=True)
@@ -247,7 +259,7 @@ def check_degree_sequence(degrees: Sequence[int], h: int) -> DegreeCheck:
     _integers((h,), "edge size must be an integer")
     if h < 1:
         raise ValueError("edge size must be positive")
-    degrees, v, kind = _degree_gate(degrees)
+    degrees, v, n0, kind = _degree_gate(degrees)
     n = len(degrees)
     if kind == "unsupported":
         return DegreeCheck(kind, None, None)
@@ -256,6 +268,5 @@ def check_degree_sequence(degrees: Sequence[int], h: int) -> DegreeCheck:
             return DegreeCheck(kind, None, Feasibility(False, "integrality", None))
         inst = RegularInstance(n=n, m=n * v // h, h=h, v=v)
         return DegreeCheck(kind, inst, check_regular(inst))
-    n0 = degrees.count(v)
     span_inst = SpanOneInstance(n=n, h=h, v=v, n0=n0, n1=n - n0)
     return DegreeCheck(kind, span_inst, check_span_one(span_inst))

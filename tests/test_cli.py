@@ -1,8 +1,10 @@
 import contextlib
+import importlib.util
 import inspect
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -426,6 +428,18 @@ class TestDegreeGate:
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: --n {n} is too large for a degree list"]
 
+    def test_n_and_v_give_the_degree_tuple_as_built(self):
+        # (1,)*10**6 takes 8 MB; a sorted copy and its tuple would take 16 MB more.
+        call("check", "--h", "2", "--n", "4", "--v", "1")  # the parser is built once per process
+        tracemalloc.start()
+        try:
+            result = call("check", "--h", "2", "--n", str(10**6), "--v", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (0, '{"feasible": true, "violated": null, "m": 500000}\n', "")
+        assert peak < 9 * 10**6
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("text", ["\n", ""], ids=["reconstruct-output", "empty"])
@@ -790,3 +804,17 @@ class TestUsageErrors:
     def test_bad_integer(self, capsys):
         code, _, err = run(capsys, "check", "--h", "2", "--degrees", "1,x,1")
         assert code == 2 and "error" in err
+
+
+class TestOutputDigests:
+    def test_every_small_list_gives_the_recorded_output(self):
+        # stdout, stderr and exit code of check, reconstruct in each format
+        # and verify, over every regular and span-one list with n <= 10;
+        # tools/cli_digests.py records the file again when a change means to
+        # alter the output.
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("cli_digests", root / "tools" / "cli_digests.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        recorded = json.loads((root / "tests" / "data" / "cli_digests_n10.json").read_text())
+        assert module.digests(10) == recorded

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import re
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdeg.feasibility import (
+    DegreeCheck,
     Feasibility,
     RegularInstance,
     SpanOneInstance,
@@ -284,17 +286,40 @@ class TestIntegerGate:
             call(degrees, h)
 
 
-def _reference_check(degrees, h):
-    """Kind, n0 and instance of an integer degree list, from its least and
-    largest value and the count of the largest."""
+def _min_max_check(degrees, h):
+    """The reference gate: the class of a degree list by its spread, max -
+    min, and n0 by counting the largest value; the text of the ValueError
+    for a list that is empty, holds a degree that is no integer (the first
+    one is named) or a negative degree."""
+    degrees = tuple(degrees)
+    if not degrees:
+        return "degree sequence must be nonempty"
+    for degree in degrees:
+        try:
+            operator.index(degree)
+        except TypeError:
+            return f"degrees must be integers, got {degree!r}"
     n, low, v = len(degrees), min(degrees), max(degrees)
+    if low < 0:
+        return "degrees must be nonnegative"
     if v - low > 1:
-        return "unsupported", None, None
+        return DegreeCheck("unsupported", None, None)
     if v == low:
-        instance = RegularInstance(n, n * v // h, h, v) if (n * v) % h == 0 else None
-        return "regular", None, instance
+        if (n * v) % h:
+            return DegreeCheck("regular", None, Feasibility(False, "integrality", None))
+        instance = RegularInstance(n, n * v // h, h, v)
+        return DegreeCheck("regular", instance, check_regular(instance))
     n0 = degrees.count(v)
-    return "span-one", n0, SpanOneInstance(n, h, v, n0, n - n0)
+    instance = SpanOneInstance(n, h, v, n0, n - n0)
+    return DegreeCheck("span-one", instance, check_span_one(instance))
+
+
+def _outcome(call, *args):
+    """What `call(*args)` returns, or the text of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 _DEGREE_LISTS = st.lists(st.integers(0, 6), min_size=1, max_size=12)
@@ -312,10 +337,38 @@ class TestOneDegreeGate:
         check = check_degree_sequence(degrees, h)
         assert check == check_degree_sequence(tuple(reordered), h)
         assert check == check_degree_sequence(sorted(degrees), h)
-        kind, n0, instance = _reference_check(degrees, h)
-        assert (check.kind, check.instance) == (kind, instance)
-        if kind == "span-one":
-            assert check.instance.n0 == n0
+        assert check == _min_max_check(degrees, h)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.one_of(st.integers(-3, 6), st.integers(2**64 - 3, 2**64 + 3)),
+        st.lists(st.integers(-2, 2), min_size=1, max_size=12),
+        st.booleans(),
+        st.one_of(st.none(), st.tuples(st.sampled_from([2.0, True, "3"]), st.integers(0, 11))),
+        st.integers(1, 8),
+    )
+    @example(4, [0, 1, 1], False, None, 3)
+    @example(0, [0, -1, 0], False, None, 2)
+    @example(-1, [0, 1], False, None, 2)
+    @example(2**64, [0, 2, 1], True, None, 2)
+    @example(1, [0, 0, 1], False, (True, 1), 2)
+    @example(2, [0, 1], False, (2.0, 1), 2)
+    def test_counting_gives_the_min_max_class(self, base, offsets, smallest_first, bad, h):
+        # Lists over {a, a±1, a±2} in any order, the least value moved first or
+        # not, and possibly one degree set to 2.0, True or "3": the class, the
+        # instance (n0, n1) and the verdict, or the error text, are those of
+        # the min/max rule.
+        degrees = [base + offset for offset in offsets]
+        if smallest_first:
+            least = degrees.index(min(degrees))
+            degrees[0], degrees[least] = degrees[least], degrees[0]
+        if bad is not None:
+            value, position = bad
+            degrees[position % len(degrees)] = value
+        expected = _min_max_check(degrees, h)
+        assert _outcome(check_degree_sequence, degrees, h) == expected
+        kind = expected if isinstance(expected, str) else expected.kind
+        assert _outcome(classify_degrees, degrees) == kind
 
     @settings(max_examples=400, deadline=None)
     @given(
