@@ -13,6 +13,7 @@ import contextlib
 import functools
 import itertools
 import json
+import operator
 import re
 import sys
 from collections.abc import Iterable, Sequence
@@ -45,8 +46,9 @@ def _degree_list(items: Iterable[str], empty: str) -> tuple[int, ...]:
 
 
 def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
-    """Resolve the degree source options to a nonincreasing vector; that of
-    --n and --v is returned as built."""
+    """Resolve the degree source options to a nonincreasing vector. The
+    tuple read or built is returned as it is when already nonincreasing;
+    only a list out of order is sorted into a new one, with a note."""
     if args.degrees is not None:
         raw = _degree_list(args.degrees.split(","), "no degrees given")
     elif args.degrees_file is not None:
@@ -59,10 +61,10 @@ def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
             raise ValueError(f"--n {args.n} is too large for a degree list") from None
     else:
         raise ValueError("give --degrees, --degrees-file, or both --n and --v")
-    ordered = tuple(sorted(raw, reverse=True))
-    if ordered != raw:
+    if any(map(operator.lt, raw, itertools.islice(raw, 1, None))):
         print("note: degrees sorted nonincreasingly", file=sys.stderr)
-    return ordered
+        return tuple(sorted(raw, reverse=True))
+    return raw
 
 
 # Per output format: the text of one row of h ones ('0'/'1' symbols, or for

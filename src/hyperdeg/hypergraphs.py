@@ -23,7 +23,7 @@ from .feasibility import (
     check_degree_sequence,
 )
 from .reconstruct import _BUILDERS
-from .words import BinaryMatrix
+from .words import BinaryMatrix, _row_of_ones
 
 __all__ = [
     "Hypergraph",
@@ -95,11 +95,8 @@ def _check_edge_set(edges: tuple[tuple[int, ...], ...]) -> None:
 
 def to_incidence(hypergraph: Hypergraph) -> BinaryMatrix:
     """Inverse of from_incidence; row order follows edge order."""
-    rows = tuple(
-        "".join("1" if j in members else "0" for j in range(1, hypergraph.n + 1))
-        for members in (set(edge) for edge in hypergraph.edges)
-    )
-    return BinaryMatrix(rows, hypergraph.n)
+    n = hypergraph.n
+    return BinaryMatrix(tuple([_row_of_ones(edge, n, 1) for edge in hypergraph.edges]), n)
 
 
 def degree_sequence(hypergraph: Hypergraph) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import gt
 
-from .words import BinaryMatrix
+from .words import BinaryMatrix, _row_of_ones
 
 __all__ = [
     "MAX_ANY_MATRIX_SIDE",
@@ -39,13 +39,6 @@ def _candidate_rows(n: int, h: int) -> list[tuple[int, ...]]:
     differ at the least position in just one of their sets of ones, and the
     word with a 1 there is the larger, so the position tuples run decreasing."""
     return list(combinations(range(n), h))[::-1]
-
-
-def _positions_to_row(ones: tuple[int, ...], n: int) -> str:
-    chars = ["0"] * n
-    for j in ones:
-        chars[j] = "1"
-    return "".join(chars)
 
 
 def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResult:
@@ -116,7 +109,7 @@ def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResul
         return False
 
     if search(0, m):
-        rows = tuple(_positions_to_row(candidates[i], n) for i in chosen)
+        rows = tuple(_row_of_ones(candidates[i], n) for i in chosen)
         return OracleResult(True, BinaryMatrix(rows, n))
     return OracleResult(False)
 

@@ -23,9 +23,9 @@ each segment's rotations are distinct, and the column sums follow from each
 segment's word and shifts. That takes O(#segments * n) string operations in
 C; no row or edge is built for it.
 
-Edges and rows are read off the checked plan only when asked for: `edges`
-(for `realize` and `--format edges`), with O(m) C-level checks of count,
-size and vertex range, and the '0'/'1' rows as `matrix` or `row_blocks`.
+Edges and rows are read off the checked plan only when asked for, and
+neither is checked again: `edges` (for `realize` and `--format edges`), and
+the '0'/'1' rows as `matrix` or `row_blocks`.
 
 Edges are emitted in runs. Across a range of shifts, the window of a word's
 one-positions that makes up a row moves only when the shift passes the next
@@ -137,8 +137,10 @@ class _RendersRows:
 
     @cached_property
     def edges(self) -> _Edges:
-        """Sorted 1-based one-positions of each row, in row order."""
-        return _checked_edges(self._segments, self.instance)
+        """Sorted 1-based one-positions of each row, in row order, read off
+        the checked plan as `row_blocks` reads the rows: nothing is checked
+        again (`_edges` says why)."""
+        return _edges(self._segments)
 
     @cached_property
     def matrix(self) -> BinaryMatrix:
@@ -376,6 +378,14 @@ def _edges(segments: list[_Segment]) -> _Edges:
     k+n of the doubled word, moved down by k. The window of shift k starts
     after the ones left of position k.
 
+    On a plan `_check_plan` has passed, the edges need no check of their own:
+    - one edge per shift, so m edges in all;
+    - each edge is a window of h consecutive one-positions of a word with h
+      ones, so it has h vertices, increasing;
+    - every shift k lies in [0, p), p the word's period, so the window lies
+      in k+1 .. k+n and every vertex in 1..n;
+    - no two edges are equal, as no two rows of the plan are.
+
     A range of shifts is walked as runs over which that window stays put:
     it moves only at the next one-position. Lists of shifts (the coset
     blocks or span-one cut of a reserved word) and the empty word of h = 0
@@ -424,24 +434,6 @@ def _edges(segments: list[_Segment]) -> _Edges:
             k = end
             s += 1
     return tuple(edges)
-
-
-def _checked_edges(segments: list[_Segment], inst: RegularInstance | SpanOneInstance) -> _Edges:
-    """The plan's edges, checked in O(m) at C speed: exactly m of them, each
-    of size h, every vertex in 1..n. `_edges` yields each edge sorted and
-    without repeats, so its first and last vertex bound the rest; that no two
-    are equal `_check_plan` has shown on the plan."""
-    edges = _edges(segments)
-    if len(edges) != inst.m:
-        raise ConstructionInvariantError(f"built {len(edges)} edges, expected {inst.m}", inst)
-    if set(map(len, edges)) - {inst.h}:
-        raise ConstructionInvariantError(f"built an edge not of size {inst.h}", inst)
-    # h == 0 gives one empty edge, which has no vertex to bound.
-    if inst.h and edges and (
-        min(map(itemgetter(0), edges)) < 1 or max(map(itemgetter(-1), edges)) > inst.n
-    ):
-        raise ConstructionInvariantError("built a vertex outside 1..n", inst)
-    return edges
 
 
 @dataclass(frozen=True)

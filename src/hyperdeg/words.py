@@ -5,7 +5,8 @@ matrices obtained by stacking the distinct rotations of a word. The single
 shift convention used everywhere is left rotation: the first symbol moves to
 the end. `_coset_block` is the one definition of the coset blocks of
 0^(n-h) 1^h, as rotations of that word: `block_submatrix` renders them, and
-the construction plans from them.
+the construction plans from them. `_row_of_ones` is the one rule that turns
+a row's one-positions into its '0'/'1' string.
 
 Input is checked where it enters: each public function checks its word, and
 `BinaryMatrix` checks every row once. Internal builders such as `_rotations`
@@ -64,6 +65,16 @@ def _rotations(word: str, shifts: Iterable[int]) -> tuple[str, ...]:
     n = len(word)
     doubled = word + word
     return tuple([doubled[k : k + n] for k in shifts])
+
+
+def _row_of_ones(ones: Iterable[int], n: int, base: int = 0) -> str:
+    """The '0'/'1' row of n columns with a one in each column of `ones`,
+    columns numbered from `base` (0, or 1 for a hypergraph's vertices); each
+    column must lie in base .. base+n-1."""
+    row = bytearray(b"0" * (base + n))
+    for j in ones:
+        row[j] = ord("1")
+    return row[base:].decode()
 
 
 def _coset_block(n: int, h: int, j: int) -> tuple[str, list[int]]:

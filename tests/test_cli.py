@@ -440,6 +440,21 @@ class TestDegreeGate:
         assert result == (0, '{"feasible": true, "violated": null, "m": 500000}\n', "")
         assert peak < 9 * 10**6
 
+    def test_a_nonincreasing_degree_file_is_passed_on_as_read(self, tmp_path):
+        # The 200,000 degrees read take 1.6 MB as a tuple; a sorted list and a
+        # second tuple would take 3.2 MB more.
+        path = tmp_path / "degrees"
+        path.write_text("3\n" * 100_000 + "2\n" * 100_000)
+        call("check", "--h", "5", "--n", "4", "--v", "1")  # the parser is built once per process
+        tracemalloc.start()
+        try:
+            result = call("check", "--h", "5", "--degrees-file", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (0, '{"feasible": true, "violated": null, "m": 100000}\n', "")
+        assert peak < 3 * 10**6
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("text", ["\n", ""], ids=["reconstruct-output", "empty"])

@@ -308,8 +308,9 @@ class TestRealize:
 
 
 class TestRealizeChecks:
-    """The construction reads its edges off the plan without a matrix and
-    checks them once; a faulty plan or emitter must still be caught."""
+    """The construction checks its plan once and reads its edges off it,
+    without a matrix; a faulty plan must still be caught before any edge is
+    read."""
 
     def test_plan_missing_the_degree_vector(self, monkeypatch):
         plan = reconstruct._plan_span_one
@@ -337,25 +338,6 @@ class TestRealizeChecks:
 
         monkeypatch.setattr(reconstruct, "_plan_regular", doubled_plan)
         with pytest.raises(ConstructionInvariantError, match="parallel"):
-            realize((5,) * 6, 2)
-
-    def test_edge_of_the_wrong_size(self, monkeypatch):
-        edges = reconstruct._edges
-        monkeypatch.setattr(
-            reconstruct, "_edges", lambda segments: tuple(e[1:] for e in edges(segments))
-        )
-        with pytest.raises(ConstructionInvariantError, match="not of size 2"):
-            realize((5,) * 6, 2)
-
-    @pytest.mark.parametrize("shift", [-1, 1])
-    def test_vertex_outside_the_range(self, monkeypatch, shift):
-        edges = reconstruct._edges
-
-        def shifted_edges(segments):
-            return tuple(tuple(v + shift for v in edge) for edge in edges(segments))
-
-        monkeypatch.setattr(reconstruct, "_edges", shifted_edges)
-        with pytest.raises(ConstructionInvariantError, match="outside 1..n"):
             realize((5,) * 6, 2)
 
     def test_realize_renders_no_rows(self, monkeypatch):
