@@ -772,6 +772,28 @@ class TestEdgesFromPlan:
     def test_edges_are_the_one_positions_of_each_rotated_row(self, segments):
         assert reconstruct._edges(segments) == _naive_edges(segments)
 
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            RegularInstance(255, 900, 85, 300),
+            RegularInstance(256, 800, 64, 200),
+            RegularInstance(300, 420, 5, 7),
+            SpanOneInstance(300, 7, 2, 295, 5),
+            RegularInstance(600, 800, 3, 4),
+        ],
+        ids=["class-n255", "class-n256", "fill-n300", "cut-n300", "runs-n600"],
+    )
+    def test_edges_of_a_built_witness_are_the_one_positions_of_its_rows(self, inst):
+        # Plans the n <= 14 sweeps never reach: the last word length read
+        # through the byte tables, the first that is not, and words longer
+        # than 255 with listed shifts (the coset fill and the span-one cut)
+        # and long runs. The rows are rendered apart from `_edges`.
+        built = _BUILDERS[type(inst)](inst)
+        assert verify(built.matrix, inst)
+        assert built.edges == tuple(
+            tuple(i for i, c in enumerate(row, 1) if c == "1") for row in built.matrix.rows
+        )
+
     def test_each_table_subtracts_its_shift_exactly(self):
         # At shift j < n of a word with n <= 255, a row's one-positions p lie
         # in j+1 .. j+n and are packed as p mod 256; the table gives p - j.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hyperdeg.words import (
     BinaryMatrix,
+    _row_of_ones,
     block_submatrix,
     canonical,
     cyclic_shift,
@@ -209,6 +210,17 @@ class TestBlockSubmatrix:
             seen |= set(block.rows)
         assert seen == whole_class
         assert len(seen) == n
+
+
+class TestRowOfOnes:
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_marks_exactly_the_given_columns(self, base):
+        for n in range(7):
+            for ones in product((0, 1), repeat=n):
+                columns = [j + base for j, bit in enumerate(ones) if bit]
+                expected = "".join(map(str, ones))
+                assert _row_of_ones(columns, n, base) == expected
+                assert _row_of_ones(iter(columns[::-1]), n, base) == expected
 
 
 class TestBinaryMatrix:
