@@ -37,34 +37,32 @@ EXIT_INTERNAL = 3
 
 
 def _degree_list(items: Iterable[str], empty: str) -> tuple[int, ...]:
-    """The degrees in `items`, one per item, blank items skipped; `empty` is
-    the error when none is left."""
+    """The degrees in `items`, one per item, blank items skipped, in the order
+    read; `empty` is the error when none is left. A list out of order gets a
+    note on stderr: the library takes it as that list sorted nonincreasingly."""
     degrees = tuple(map(int, filter(None, map(str.strip, items))))
     if not degrees:
         raise ValueError(empty)
+    if any(map(operator.lt, degrees, itertools.islice(degrees, 1, None))):
+        print("note: degrees sorted nonincreasingly", file=sys.stderr)
     return degrees
 
 
 def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
-    """Resolve the degree source options to a nonincreasing vector. The
-    tuple read or built is returned as it is when already nonincreasing;
-    only a list out of order is sorted into a new one, with a note."""
+    """Resolve the degree source options to the tuple of degrees read or
+    built, passed on in the order given: the library decides a list in any
+    order, and only `oracle` sorts what it is handed."""
     if args.degrees is not None:
-        raw = _degree_list(args.degrees.split(","), "no degrees given")
-    elif args.degrees_file is not None:
+        return _degree_list(args.degrees.split(","), "no degrees given")
+    if args.degrees_file is not None:
         with open(args.degrees_file, encoding="utf-8") as handle:
-            raw = _degree_list(handle, f"degree file {args.degrees_file} is empty")
-    elif args.n is not None and args.v is not None:
+            return _degree_list(handle, f"degree file {args.degrees_file} is empty")
+    if args.n is not None and args.v is not None:
         try:
             return (args.v,) * args.n
         except (OverflowError, MemoryError):
             raise ValueError(f"--n {args.n} is too large for a degree list") from None
-    else:
-        raise ValueError("give --degrees, --degrees-file, or both --n and --v")
-    if any(map(operator.lt, raw, itertools.islice(raw, 1, None))):
-        print("note: degrees sorted nonincreasingly", file=sys.stderr)
-        return tuple(sorted(raw, reverse=True))
-    return raw
+    raise ValueError("give --degrees, --degrees-file, or both --n and --v")
 
 
 # Per output format: the text of one row of h ones ('0'/'1' symbols, or for
@@ -160,8 +158,8 @@ def _read_matrix_lines(path: str, n: int) -> BinaryMatrix:
     """The matrix in a file of one row per line; a file with no rows is the
     matrix of no rows and n columns, as `reconstruct` writes for m = 0."""
     with open(path, encoding="utf-8") as handle:
-        rows = list(filter(None, map(str.strip, handle)))
-    return BinaryMatrix(tuple(rows), len(rows[0]) if rows else n)
+        rows = tuple(filter(None, map(str.strip, handle)))
+    return BinaryMatrix(rows, len(rows[0]) if rows else n)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -181,7 +179,8 @@ def cmd_bipartite(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    degrees = _degrees_from_args(args)
+    # The witness columns follow the list, so this command alone sorts it.
+    degrees = sorted(_degrees_from_args(args), reverse=True)
     result = exists_distinct_rows(len(degrees), args.h, degrees)
     witness = list(result.witness.rows) if result.witness is not None else None
     print(json.dumps({"exists": result.exists, "witness": witness}))

@@ -182,17 +182,13 @@ class SpanOneReconstruction(_RendersRows):
     def lifted_ones(self) -> int:
         return self.lifted_rows * self.instance.h
 
-    @property
-    def column_order(self) -> tuple[int, ...]:
-        return tuple(range(self.instance.n))
-
     def plan_json(self) -> dict:
         return {
             "lifted_ones": self.lifted_ones,
             "lifted_rows": self.lifted_rows,
             "lifted_degree": self.lifted_degree,
             "rows_deleted": self.rows_deleted,
-            "column_order": list(self.column_order),
+            "column_order": list(range(self.instance.n)),
             "levels": [level.to_json_dict() for level in self.levels],
         }
 

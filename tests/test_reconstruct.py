@@ -494,10 +494,12 @@ class TestRecSpanOneSweep:
 
     def test_columns_already_descend(self):
         # The deleted rows lower exactly the last n1 columns one step further
-        # than the rest, so the construction never needs to permute columns.
+        # than the rest, so the construction never needs to permute columns:
+        # vertex j of the edges has the j-th degree of the nonincreasing vector.
         for inst in feasible_span_one_instances(16, max_v=8):
             built = rec_span_one_with_plan(inst)
-            assert built.column_order == tuple(range(inst.n)), inst
+            sums = Counter(chain.from_iterable(built.edges))
+            assert tuple(sums[j] for j in range(1, inst.n + 1)) == inst.degree_vector(), inst
             assert built.matrix.col_sums() == (inst.v,) * inst.n0 + (inst.v - 1,) * inst.n1, inst
             assert verify(built.matrix, inst).ok, inst
 
