@@ -20,7 +20,6 @@ from collections.abc import Iterable, Sequence
 
 from .feasibility import check_degree_sequence
 from .necklaces import count_lyndon, count_necklaces, gen_lyndon, gen_necklaces
-from .oracle import exists_distinct_rows
 from .reconstruct import (
     _BUILDERS,
     RegularReconstruction,
@@ -179,6 +178,9 @@ def cmd_bipartite(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    # Imported here: no other command needs the exhaustive search.
+    from .oracle import exists_distinct_rows
+
     # The witness columns follow the list, so this command alone sorts it.
     degrees = sorted(_degrees_from_args(args), reverse=True)
     result = exists_distinct_rows(len(degrees), args.h, degrees)

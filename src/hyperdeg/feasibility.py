@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
 from itertools import accumulate
 from math import comb
 from operator import index
@@ -51,47 +50,78 @@ def _integers(values: Sequence, rule: str) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class RegularInstance:
+class _Record:
+    """Base of the immutable record types. A record stores its fields in its
+    instance `__dict__` from its own `__init__`; the class names them, in
+    order, in its tuple `_fields`, which drives value equality (same class,
+    equal fields), hashing, the repr, `__match_args__` and `to_json_dict`
+    (each field by name, nested records as they are). No attribute can be
+    assigned or deleted."""
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__dict__.get("__match_args__", cls._fields)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def to_json_dict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.to_json_dict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RegularInstance(_Record):
     """Homogeneous projections: m rows of sum h over n columns of sum v."""
 
-    n: int
-    m: int
-    h: int
-    v: int
+    _fields = ("n", "m", "h", "v")
 
-    def __post_init__(self) -> None:
-        _integers((self.n, self.m, self.h, self.v), "instance fields must be integers")
-        if self.n < 1:
+    def __init__(self, n: int, m: int, h: int, v: int) -> None:
+        _integers((n, m, h, v), "instance fields must be integers")
+        if n < 1:
             raise ValueError("column count must be positive")
-        if min(self.m, self.h, self.v) < 0:
+        if min(m, h, v) < 0:
             raise ValueError("projections must be nonnegative")
+        d = self.__dict__
+        d["n"], d["m"], d["h"], d["v"] = n, m, h, v
 
     def degree_vector(self) -> tuple[int, ...]:
         return (self.v,) * self.n
 
 
-@dataclass(frozen=True)
-class SpanOneInstance:
+class SpanOneInstance(_Record):
     """Homogeneous row sums h; column sums take the value v on n0 columns and
     v-1 on the remaining n1 columns."""
 
-    n: int
-    h: int
-    v: int
-    n0: int
-    n1: int
+    _fields = ("n", "h", "v", "n0", "n1")
 
-    def __post_init__(self) -> None:
-        _integers((self.n, self.h, self.v, self.n0, self.n1), "instance fields must be integers")
-        if self.n0 < 1 or self.n1 < 1:
+    def __init__(self, n: int, h: int, v: int, n0: int, n1: int) -> None:
+        _integers((n, h, v, n0, n1), "instance fields must be integers")
+        if n0 < 1 or n1 < 1:
             raise ValueError("both column-sum values must occur")
-        if self.n0 + self.n1 != self.n:
+        if n0 + n1 != n:
             raise ValueError("n0 + n1 must equal n")
-        if self.v < 1:
+        if v < 1:
             raise ValueError("larger column sum must be positive")
-        if self.h < 1:
+        if h < 1:
             raise ValueError("row sum must be positive")
+        d = self.__dict__
+        d["n"], d["h"], d["v"], d["n0"], d["n1"] = n, h, v, n0, n1
 
     @property
     def ones_total(self) -> int:
@@ -108,18 +138,16 @@ class SpanOneInstance:
         return (self.v,) * self.n0 + (self.v - 1,) * self.n1
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(_Record):
     """Verdict of a feasibility check; `violated` names the first failing
     condition (cond1 = totals, cond2 = bounds, cond3 = capacity,
     integrality = no integral row count exists)."""
 
-    feasible: bool
-    violated: str | None = None
-    m: int | None = None
+    _fields = ("feasible", "violated", "m")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    def __init__(self, feasible: bool, violated: str | None = None, m: int | None = None) -> None:
+        d = self.__dict__
+        d["feasible"], d["violated"], d["m"] = feasible, violated, m
 
 
 def _verdict(n: int, m: int, h: int, v: int, ones: int) -> Feasibility:
@@ -238,17 +266,23 @@ def classify_degrees(degrees: Sequence[int]) -> str:
     return _degree_gate(degrees)[3]
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
+class DegreeCheck(_Record):
     """Classification of a degree vector together with the matching
     feasibility verdict. Instance and result are None when unsupported.
     Instance alone is None for a regular sequence with no integral row count;
     a span-one sequence keeps its `SpanOneInstance` even then (its `m` is
     None), with the verdict `integrality`."""
 
-    kind: str
-    instance: RegularInstance | SpanOneInstance | None
-    result: Feasibility | None
+    _fields = ("kind", "instance", "result")
+
+    def __init__(
+        self,
+        kind: str,
+        instance: RegularInstance | SpanOneInstance | None,
+        result: Feasibility | None,
+    ) -> None:
+        d = self.__dict__
+        d["kind"], d["instance"], d["result"] = kind, instance, result
 
 
 def check_degree_sequence(degrees: Sequence[int], h: int) -> DegreeCheck:

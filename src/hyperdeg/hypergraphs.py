@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .feasibility import (
     Feasibility,
     RegularInstance,
     SpanOneInstance,
     _integers,
+    _Record,
     check_degree_sequence,
 )
 from .reconstruct import _BUILDERS
@@ -37,36 +37,35 @@ __all__ = [
 _ONE = re.compile("1")
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Record):
     """Vertex count plus an ordered list of pairwise distinct, equal-size
     edges; vertices are 1-based."""
 
-    n: int
-    edges: tuple[tuple[int, ...], ...]
+    _fields = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        _integers((self.n,), "vertex count must be an integer")
-        if self.n < 1:
+    def __init__(self, n: int, edges: Iterable[Iterable[int]]) -> None:
+        _integers((n,), "vertex count must be an integer")
+        if n < 1:
             raise ValueError("vertex count must be positive")
-        edges = tuple(map(tuple, self.edges))
+        edges = tuple(map(tuple, edges))
         _integers([vertex for edge in edges for vertex in edge], "vertices must be integers")
         normalized = tuple(tuple(sorted(edge)) for edge in edges)
-        object.__setattr__(self, "edges", normalized)
         _check_edge_set(normalized)
         for edge in normalized:
             if len(set(edge)) != len(edge):
                 raise ValueError(f"edge repeats a vertex: {edge}")
-            if edge[0] < 1 or edge[-1] > self.n:
+            if edge[0] < 1 or edge[-1] > n:
                 raise ValueError(f"vertex index out of range in edge {edge}")
+        d = self.__dict__
+        d["n"], d["edges"] = n, normalized
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
         """A hypergraph from edges already sorted, in range and distinct, with
         one nonzero size; none of it is checked again."""
         hypergraph = object.__new__(cls)
-        object.__setattr__(hypergraph, "n", n)
-        object.__setattr__(hypergraph, "edges", edges)
+        d = hypergraph.__dict__
+        d["n"], d["edges"] = n, edges
         return hypergraph
 
 
@@ -108,15 +107,23 @@ def degree_sequence(hypergraph: Hypergraph) -> tuple[int, ...]:
     return tuple(sorted(counts, reverse=True))
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(_Record):
     """Exactly one of: a realized hypergraph, an infeasibility verdict, or an
-    unsupported-class report."""
+    unsupported-class report. `status` is realized, infeasible or
+    unsupported."""
 
-    status: str  # realized | infeasible | unsupported
-    hypergraph: Hypergraph | None = None
-    feasibility: Feasibility | None = None
-    reason: str | None = None
+    _fields = ("status", "hypergraph", "feasibility", "reason")
+
+    def __init__(
+        self,
+        status: str,
+        hypergraph: Hypergraph | None = None,
+        feasibility: Feasibility | None = None,
+        reason: str | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["status"], d["hypergraph"] = status, hypergraph
+        d["feasibility"], d["reason"] = feasibility, reason
 
 
 def realize(degrees: Iterable[int] | Sequence[int], h: int) -> RealizationResult:

@@ -9,10 +9,10 @@ the fast paths, and exposed through the CLI for the same purpose.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations
 from operator import gt
 
+from .feasibility import _Record
 from .words import BinaryMatrix, _row_of_ones
 
 __all__ = [
@@ -27,10 +27,15 @@ MAX_DISTINCT_ROWS_COLS = 8
 MAX_ANY_MATRIX_SIDE = 5
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    exists: bool
-    witness: BinaryMatrix | None = None
+class OracleResult(_Record):
+    """Answer of an exhaustive search: whether a matrix exists, and the
+    witness found when one does (None otherwise)."""
+
+    _fields = ("exists", "witness")
+
+    def __init__(self, exists: bool, witness: BinaryMatrix | None = None) -> None:
+        d = self.__dict__
+        d["exists"], d["witness"] = exists, witness
 
 
 def _candidate_rows(n: int, h: int) -> list[tuple[int, ...]]:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, not_
@@ -62,6 +61,7 @@ from .feasibility import (
     Feasibility,
     RegularInstance,
     SpanOneInstance,
+    _Record,
     check_regular,
     check_span_one,
 )
@@ -117,18 +117,20 @@ class ConstructionInvariantError(RuntimeError):
         self.divisor = divisor
 
 
-@dataclass(frozen=True)
-class LevelPlan:
-    """What one divisor level contributed to the output matrix."""
+class LevelPlan(_Record):
+    """What one divisor level contributed to the output matrix: the reduced
+    word length n/divisor and density h/divisor, the Lyndon words expanded
+    to full rotation classes, and the coset blocks of the reserved word (0
+    unless the level fills)."""
 
-    divisor: int
-    length: int  # reduced word length n/divisor
-    density: int  # reduced word density h/divisor
-    full_words: int  # Lyndon words expanded to full rotation classes
-    partial_blocks: int  # coset blocks of the reserved word, 0 unless filling
+    _fields = ("divisor", "length", "density", "full_words", "partial_blocks")
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    def __init__(
+        self, divisor: int, length: int, density: int, full_words: int, partial_blocks: int
+    ) -> None:
+        d = self.__dict__
+        d["divisor"], d["length"], d["density"] = divisor, length, density
+        d["full_words"], d["partial_blocks"] = full_words, partial_blocks
 
 
 class _RendersRows:
@@ -159,24 +161,37 @@ class _RendersRows:
         )
 
 
-@dataclass(frozen=True)
-class RegularReconstruction(_RendersRows):
-    instance: RegularInstance
-    levels: tuple[LevelPlan, ...]
-    _segments: list[_Segment] = field(repr=False, compare=False)
+class RegularReconstruction(_RendersRows, _Record):
+    """The checked plan of a homogeneous build: its instance, one `LevelPlan`
+    per divisor level, and the plan segments, which equality and the repr
+    leave out."""
+
+    _fields = ("instance", "levels")
+    __match_args__ = (*_fields, "_segments")
+
+    def __init__(self, instance, levels, _segments) -> None:
+        d = self.__dict__
+        d["instance"], d["levels"], d["_segments"] = instance, levels, _segments
 
     def plan_json(self) -> dict:
         return {"levels": [level.to_json_dict() for level in self.levels]}
 
 
-@dataclass(frozen=True)
-class SpanOneReconstruction(_RendersRows):
-    instance: SpanOneInstance
-    lifted_rows: int  # row count of the intermediate homogeneous instance
-    lifted_degree: int  # its homogeneous column sum
-    rows_deleted: int
-    levels: tuple[LevelPlan, ...]  # plan of the intermediate build
-    _segments: list[_Segment] = field(repr=False, compare=False)
+class SpanOneReconstruction(_RendersRows, _Record):
+    """The checked plan of a span-one build: its instance, the row count and
+    homogeneous column sum of the lifted instance, the rows deleted from it,
+    the level plans of the lifted build, and the plan segments, which
+    equality and the repr leave out."""
+
+    _fields = ("instance", "lifted_rows", "lifted_degree", "rows_deleted", "levels")
+    __match_args__ = (*_fields, "_segments")
+
+    def __init__(
+        self, instance, lifted_rows, lifted_degree, rows_deleted, levels, _segments
+    ) -> None:
+        d = self.__dict__
+        d["instance"], d["lifted_rows"], d["lifted_degree"] = instance, lifted_rows, lifted_degree
+        d["rows_deleted"], d["levels"], d["_segments"] = rows_deleted, levels, _segments
 
     @property
     def lifted_ones(self) -> int:
@@ -432,13 +447,15 @@ def _edges(segments: list[_Segment]) -> _Edges:
     return tuple(edges)
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(_Record):
     """Outcome of checking a matrix against an instance; `problem` names the
     first failing property."""
 
-    ok: bool
-    problem: str | None = None
+    _fields = ("ok", "problem")
+
+    def __init__(self, ok: bool, problem: str | None = None) -> None:
+        d = self.__dict__
+        d["ok"], d["problem"] = ok, problem
 
     def __bool__(self) -> bool:
         return self.ok

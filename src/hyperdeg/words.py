@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-
-from .feasibility import _integers
+from .feasibility import _integers, _Record
 
 __all__ = [
     "BinaryMatrix",
@@ -123,17 +121,13 @@ def is_lyndon(w: str) -> bool:
     return canonical(w) == w and period(w) == len(w)
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(_Record):
     """Ordered list of equal-length binary rows, with projection helpers."""
 
-    rows: tuple[str, ...]
-    ncols: int
+    _fields = ("rows", "ncols")
 
-    def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
-        n = self.ncols
+    def __init__(self, rows: Iterable[str], ncols: int) -> None:
+        rows, n = tuple(rows), ncols
         _integers((n,), "column count must be an integer")
         if n < 1:
             raise ValueError("matrix needs at least one column")
@@ -153,6 +147,8 @@ class BinaryMatrix:
                         raise ValueError(
                             f"row {i} has {len(row)} columns, not {n}: {_preview(row)}"
                         )
+        d = self.__dict__
+        d["rows"], d["ncols"] = rows, n
 
     @property
     def nrows(self) -> int:
