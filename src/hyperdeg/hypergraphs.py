@@ -147,8 +147,8 @@ def _witness(instance: RegularInstance | SpanOneInstance) -> Hypergraph:
     """The constructed hypergraph of a feasible instance, on the edges read
     off its checked plan.
 
-    Keep this call: through it `realize` reaches the recursive `gen_lyndon`
-    as deep as the benchmark's traced replay does, so both hit the
-    interpreter's recursion limit at the same sizes."""
+    Keep this call: through it `realize` reaches the recursive Lyndon walk
+    (`necklaces._walk`) as deep as the benchmark's traced replay does, so
+    both hit the interpreter's recursion limit at the same sizes."""
     built = _BUILDERS[type(instance)](instance)
     return Hypergraph._trusted(instance.n, built.edges)

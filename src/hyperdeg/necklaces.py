@@ -97,25 +97,65 @@ def count_lyndon(n: int, d: int) -> int:
     return _divisor_sum(n, d, mobius)
 
 
+# Most words a lazy stream takes from one walk. Its batches double from 1 up
+# to this, so a stream read to its k-th word walks at most 2k words while
+# k < _BATCH, and each later batch pays one O(n) descent to resume.
+_BATCH = 256
+
+
 def gen_lyndon(n: int, d: int) -> Iterator[str]:
     """Yield the Lyndon words of length n and density d in increasing
     lexicographic order. Each call returns an independent stream."""
-    return _generate(n, d, lyndon=True)
+    return _stream(n, d, lyndon=True)
 
 
 def gen_necklaces(n: int, d: int) -> Iterator[str]:
     """Yield the canonical necklace representatives of length n and density d
     in increasing lexicographic order. Each call returns an independent stream."""
-    return _generate(n, d, lyndon=False)
+    return _stream(n, d, lyndon=False)
 
 
-def _generate(n: int, d: int, lyndon: bool) -> Iterator[str]:
+def _stream(n: int, d: int, lyndon: bool) -> Iterator[str]:
+    # The density class and the word buffer are checked at the call, not at
+    # the first word; the stream then reads `_walk` in batches, each resumed
+    # after the last word of the one before.
+    _check_density_class(n, d)
+    _word_buffer(n)
+    return _batches(n, d, lyndon)
+
+
+def _batches(n: int, d: int, lyndon: bool) -> Iterator[str]:
+    limit = 1
+    words = _walk(n, d, limit, lyndon)
+    while True:
+        yield from words
+        if len(words) < limit:
+            return
+        limit = min(2 * limit, _BATCH)
+        words = _walk(n, d, limit, lyndon, words[-1])
+
+
+def _word_buffer(n: int) -> bytearray:
+    # ASCII '0'/'1' symbols, so a leaf is emitted by one C-level decode;
+    # word[0] is the sentinel read by the copy step. CPython refuses a length
+    # past the index range (OverflowError) or the address space (MemoryError)
+    # before it allocates.
+    try:
+        return bytearray(b"0" * (n + 1))
+    except (OverflowError, MemoryError):
+        raise ValueError(f"word length {n} is too large to store") from None
+
+
+def _walk(n: int, d: int, limit: int, lyndon: bool, after: str = "") -> list[str]:
+    """The first `limit` >= 1 Lyndon words (or necklaces) of length n and
+    density d in increasing lexicographic order, or the first `limit` after
+    the word `after` of that order; fewer when the order runs out. The
+    density class is the caller's to check."""
     # Fredricksen-Kessler-Maiorana recursion over prenecklaces, with branches
     # that cannot reach exactly d ones pruned away. Trying 0 before 1 at every
-    # position makes the output order lexicographic; a leaf at depth n is a
-    # necklace when its longest-prefix period p divides n, and a Lyndon word
-    # when p == n. The density class and the word buffer are checked at the
-    # call, not at the first word.
+    # position makes the output order lexicographic; a leaf (all n symbols
+    # set) is a necklace when its longest-prefix period p divides n, and a
+    # Lyndon word when p == n.
     #
     # A node that already holds all d >= 1 ones but not all n symbols is cut:
     # the word would end in 0, and a necklace with a 1 ends in 1 (rotating a
@@ -123,36 +163,56 @@ def _generate(n: int, d: int, lyndon: bool) -> Iterator[str]:
     # placement of the last one walks O(n) zeros to a leaf it then rejects;
     # with it (n, 2) visits Theta(n^2) nodes, not Theta(n^3).
     #
-    # The walk stays over bits, one frame per position: the first word,
-    # 0^(n-d) 1^d, nests n + 1 frames, so n stays capped just below the
+    # The walk is plain calls that append each leaf to `words` and unwind
+    # once it holds `limit`, so a word costs no climb through the frames
+    # above it. A node tests its children against both prunes before it
+    # calls them, so every call is a node of the tree. To resume, the walk
+    # goes down the path of `after` (`resume`) and takes only the branches
+    # right of it, skipping `after` itself.
+    #
+    # The walk stays over bits, one frame per position, and the node at
+    # position n tests its leaf itself rather than calling down once more:
+    # with this function's own frame, the first word, 0^(n-d) 1^d, nests
+    # n + 1 frames below the caller, so n stays capped just below the
     # recursion limit. A walk over the d gaps between ones would lift that
     # cap, and with it change which long instances build.
-    _check_density_class(n, d)
     zero, one = ord("0"), ord("1")
-    # ASCII '0'/'1' symbols, so a leaf is emitted by one C-level decode;
-    # word[0] is the sentinel read by the copy step. CPython refuses a length
-    # past the index range (OverflowError) or the address space (MemoryError)
-    # before it allocates.
-    try:
-        word = bytearray(b"0" * (n + 1))
-    except (OverflowError, MemoryError):
-        raise ValueError(f"word length {n} is too large to store") from None
+    word = _word_buffer(n)
+    path = b"0" + after.encode()
+    words: list[str] = []
 
-    def extend(t: int, p: int, ones: int) -> Iterator[str]:
-        if ones > d or d - ones > n - t + 1:
-            return
-        if t > n:
-            emit = (p == n) if lyndon else (n % p == 0)
-            if emit:
-                yield word[1:].decode()
-            return
-        if ones == d and d:
-            return
+    def extend(t: int, p: int, ones: int, resume: bool) -> bool:
+        # Set position t of a node that can still reach d ones and is not
+        # cut: t-1 symbols set, `ones` of them ones (d - 1 <= ones < d at t
+        # = n, unless d = 0), p their period. True once `words` is full.
         copied = word[t - p]
-        word[t] = copied
-        yield from extend(t + 1, p, ones + (copied == one))
+        if t == n:
+            # Its one leaf: a 1 after a copied 0 (period n), or the copy
+            # (period p). On the path of `after` that leaf is `after`.
+            if resume:
+                return False
+            if copied == zero and d:
+                word[t] = one
+            elif (p != n) if lyndon else (n % p):
+                return False
+            else:
+                word[t] = copied
+            words.append(word[1:].decode())
+            return len(words) == limit
+        # A child at position t + 1 <= n must have room for the ones it
+        # lacks, d - ones <= n - t, and is cut when it holds all d >= 1 ones.
         if copied == zero:
+            if d - ones <= n - t and (not resume or path[t] == zero):
+                word[t] = zero
+                if extend(t + 1, p, ones, resume):
+                    return True
+            if ones + 1 < d:
+                word[t] = one
+                return extend(t + 1, t, ones + 1, resume and path[t] == one)
+        elif ones + 1 < d:
             word[t] = one
-            yield from extend(t + 1, t, ones + 1)
+            return extend(t + 1, p, ones + 1, resume)
+        return False
 
-    return extend(1, 1, 0)
+    extend(1, 1, 0, bool(after))
+    return words

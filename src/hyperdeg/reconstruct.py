@@ -54,18 +54,11 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, not_
 
-from .feasibility import (
-    Feasibility,
-    RegularInstance,
-    SpanOneInstance,
-    _Record,
-    check_regular,
-    check_span_one,
-)
-from .necklaces import common_divisors, count_lyndon, gen_lyndon
+from .feasibility import RegularInstance, SpanOneInstance, _Record, check_regular, check_span_one
+from .necklaces import _walk, common_divisors, count_lyndon
 from .words import BinaryMatrix, _coset_block, _rotations, _row_blocks
 
 __all__ = [
@@ -243,10 +236,10 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
         fill_here = remaining - q * dens > 0 and q < available
         # A Lyndon word is aperiodic, so its d-fold tiling has `length`
         # distinct rotations: the rows of shift_matrix(word * d). The
-        # reserved word is the least Lyndon word, so the first pulled: a
-        # level that fills pulls it and drops it, one that does not starts
+        # reserved word is the least Lyndon word, so the first walked: a
+        # level that fills walks it and drops it, one that does not starts
         # with its class.
-        words = list(islice(gen_lyndon(length, dens), q + fill_here))[fill_here:]
+        words = _walk(length, dens, q + fill_here, lyndon=True)[fill_here:]
         if len(words) != q:
             raise ConstructionInvariantError("ran out of Lyndon words", inst, d)
         segments.extend([(word * d, range(length)) for word in words])
@@ -284,7 +277,7 @@ def rec_span_one_with_plan(inst: SpanOneInstance) -> SpanOneReconstruction:
 
 
 # The construction call of each degree class. Callers index it in their own
-# frame: a wrapper would add a frame above the recursive `gen_lyndon`.
+# frame: a wrapper would add a frame above the recursive Lyndon walk.
 _BUILDERS = {RegularInstance: rec_regular_with_plan, SpanOneInstance: rec_span_one_with_plan}
 
 
@@ -330,7 +323,7 @@ def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstanc
     instance's degree vector as column sums, in column order.
 
     Each segment is one rotation class, named by its least word: a Lyndon
-    word tiled n/p times, p its period, as `gen_lyndon` yields them, or a
+    word tiled n/p times, p its period, as `_walk` lists them, or a
     reserved word (0^(p-e) 1^e)^(n/p), e = h*p/n. Two segments share rows
     only when their words are equal. A segment whose shifts are `range(p)`
     is a full class: p distinct rows adding e to every column. Any other

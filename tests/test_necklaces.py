@@ -108,8 +108,9 @@ class TestCounting:
 
 
 def _reference_generate(n, d, lyndon):
-    """The reference for `necklaces._generate`: the same FKM recursion
-    without the cut at the last one, each leaf joined symbol by symbol."""
+    """The reference for `necklaces._walk` and the streams read from it: the
+    same FKM recursion as a generator, without the cut at the last one, each
+    leaf joined symbol by symbol."""
     necklaces._check_density_class(n, d)
     word = bytearray(n + 1)  # word[0] is the sentinel read by the copy step
 
@@ -166,9 +167,9 @@ class TestGeneration:
         assert list(gen_lyndon(n, 1)) == list(gen_necklaces(n, 1)) == ["0" * (n - 1) + "1"]
 
     def test_work_grows_as_n_squared_at_density_2(self):
-        # Each call of the inner recursion, first entry or resumption, is
-        # one profile event; cutting below the last one keeps (n, 2) to
-        # O(n^2) of them, where walking on to each rejected leaf takes O(n^3).
+        # Each call of the inner recursion is one profile event; cutting
+        # below the last one keeps (n, 2) to O(n^2) of them, where walking on
+        # to each rejected leaf takes O(n^3).
         n, calls = 200, 0
 
         def count(frame, event, arg):
@@ -220,6 +221,32 @@ class TestGeneration:
         second = gen_lyndon(6, 3)
         assert list(second) == ["000111", "001011", "001101"]
         assert list(first) == ["001011", "001101"]
+
+    def test_resuming_after_each_word_gives_the_rest_up_to_14(self):
+        for n in range(1, 15):
+            for d in range(n + 1):
+                for lyndon in (True, False):
+                    words = list(_reference_generate(n, d, lyndon))
+                    for i, after in enumerate(words):
+                        rest = necklaces._walk(n, d, len(words), lyndon, after)
+                        assert rest == words[i + 1 :], (n, d, lyndon, after)
+
+    @pytest.mark.parametrize("generate", [gen_lyndon, gen_necklaces])
+    def test_a_stream_read_to_k_words_walks_at_most_2k(self, monkeypatch, generate):
+        walked = 0
+        walk = necklaces._walk
+
+        def counted(*args):
+            nonlocal walked
+            words = walk(*args)
+            walked += len(words)
+            return words
+
+        monkeypatch.setattr(necklaces, "_walk", counted)
+        for k in range(1, necklaces._BATCH):
+            walked = 0
+            assert len(list(islice(generate(24, 12), k))) == k
+            assert walked <= 2 * k, (k, walked)
 
     def test_early_termination_is_cheap(self):
         assert list(islice(gen_lyndon(24, 12), 3)) == [

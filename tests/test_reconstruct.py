@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 from collections import Counter
 from itertools import chain, cycle, filterfalse, islice, product
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hyperdeg import reconstruct
+from hyperdeg import necklaces, reconstruct
 from hyperdeg.feasibility import RegularInstance, SpanOneInstance, check_regular, check_span_one
 from hyperdeg.hypergraphs import from_incidence, realize
 from hyperdeg.necklaces import binomial, gen_lyndon
@@ -126,9 +127,10 @@ class TestPlanCheck:
         # 32,885 instances with 27 million edges between them: each segment's
         # edges are emitted once, and each Lyndon stream generated once
         # (test_necklaces checks the streams against brute force).
-        generate = reconstruct.gen_lyndon
-        streams = functools.cache(lambda n, d: tuple(generate(n, d)))
-        monkeypatch.setattr(reconstruct, "gen_lyndon", lambda n, d: iter(streams(n, d)))
+        streams = functools.cache(lambda n, d: tuple(gen_lyndon(n, d)))
+        monkeypatch.setattr(
+            reconstruct, "_walk", lambda n, d, limit, lyndon: list(streams(n, d)[:limit])
+        )
         reference = _EdgeCheck()
         checked = 0
         for inst in feasible_regular_instances(14):
@@ -329,9 +331,36 @@ class TestRecRegularWorkedExamples:
             rec_regular_with_plan(RegularInstance(4, 3, 2, 2))
 
 
+class TestWalkDepth:
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    def test_the_walk_nests_n_plus_1_frames_below_the_plan(self, n):
+        # The first word of (n, 1), 0^(n-1) 1, takes the walk's entry frame
+        # and one frame per position. A frame more or less moves the
+        # recursion cap of every construction, and with it which long
+        # instances build; the call-site spies cannot see inside the walk.
+        plan = reconstruct._plan_regular.__code__
+        deepest = 0
+
+        def profile(frame, event, arg):
+            nonlocal deepest
+            if event == "call" and frame.f_code.co_filename == necklaces.__file__:
+                depth = 0
+                while frame is not None and frame.f_code is not plan:
+                    depth, frame = depth + 1, frame.f_back
+                if frame is not None:
+                    deepest = max(deepest, depth)
+
+        sys.setprofile(profile)
+        try:
+            assert realize((1,) * n, 1).status == "realized"
+        finally:
+            sys.setprofile(None)
+        assert deepest == n + 1
+
+
 class TestConstructionInvariantError:
     def test_names_instance_and_level(self, monkeypatch):
-        monkeypatch.setattr(reconstruct, "gen_lyndon", lambda n, d: iter(()))
+        monkeypatch.setattr(reconstruct, "_walk", lambda n, d, limit, lyndon: [])
         inst = RegularInstance(6, 15, 2, 5)
         with pytest.raises(ConstructionInvariantError) as info:
             rec_regular_with_plan(inst)
@@ -377,22 +406,6 @@ class TestConstructionInvariantError:
         assert str(info.value) == f"built parallel edges of {inst}"
 
 
-class _Counted:
-    """A word stream that counts the words pulled from it."""
-
-    def __init__(self, length, density, words):
-        self.length, self.density, self.pulled = length, density, 0
-        self._words = words
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        word = next(self._words)
-        self.pulled += 1
-        return word
-
-
 class TestRecRegularSweep:
     def test_all_feasible_instances_verify(self):
         for inst in feasible_regular_instances(10):
@@ -408,20 +421,21 @@ class TestRecRegularSweep:
         assert rec_regular_with_plan(inst).matrix == rec_regular_with_plan(inst).matrix
 
     def test_each_level_pulls_exactly_the_words_it_uses(self, monkeypatch):
-        # A level pulls the words of its full classes and, when it fills with
+        # A level walks the words of its full classes and, when it fills with
         # coset blocks, the reserved word it skips: no word goes unused.
-        streams = []
+        asked = []
+        walk = reconstruct._walk
 
-        def spy(length, density):
-            streams.append(_Counted(length, density, gen_lyndon(length, density)))
-            return streams[-1]
+        def spy(length, density, limit, lyndon):
+            asked.append((length, density, limit))
+            return walk(length, density, limit, lyndon)
 
-        monkeypatch.setattr(reconstruct, "gen_lyndon", spy)
+        monkeypatch.setattr(reconstruct, "_walk", spy)
         for inst in chain(feasible_regular_instances(12), feasible_span_one_instances(12)):
-            streams.clear()
+            asked.clear()
             levels = reconstruct._BUILDERS[type(inst)](inst).levels
             used = [(l.length, l.density, l.full_words + (l.partial_blocks > 0)) for l in levels]
-            assert [(s.length, s.density, s.pulled) for s in streams] == used, inst
+            assert asked == used, inst
 
     def test_at_most_one_partial_fill_level(self):
         for inst in feasible_regular_instances(9):
