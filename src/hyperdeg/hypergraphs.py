@@ -148,7 +148,7 @@ def _witness(instance: RegularInstance | SpanOneInstance) -> Hypergraph:
     off its checked plan.
 
     Keep this call: through it `realize` reaches the recursive Lyndon walk
-    (`necklaces._walk`) as deep as the benchmark's traced replay does, so
-    both hit the interpreter's recursion limit at the same sizes."""
+    as deep as the benchmark's traced replay does, so both hit the
+    interpreter's recursion limit at the same sizes."""
     built = _BUILDERS[type(instance)](instance)
     return Hypergraph._trusted(instance.n, built.edges)

@@ -8,7 +8,7 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from .feasibility import _integers
 
@@ -103,36 +103,58 @@ def count_lyndon(n: int, d: int) -> int:
 _BATCH = 256
 
 
-def gen_lyndon(n: int, d: int) -> Iterator[str]:
+def gen_lyndon(n: int, d: int) -> _Words:
     """Yield the Lyndon words of length n and density d in increasing
     lexicographic order. Each call returns an independent stream."""
-    return _stream(n, d, lyndon=True)
+    return _Words(n, d, lyndon=True)
 
 
-def gen_necklaces(n: int, d: int) -> Iterator[str]:
+def gen_necklaces(n: int, d: int) -> _Words:
     """Yield the canonical necklace representatives of length n and density d
     in increasing lexicographic order. Each call returns an independent stream."""
-    return _stream(n, d, lyndon=False)
+    return _Words(n, d, lyndon=False)
 
 
-def _stream(n: int, d: int, lyndon: bool) -> Iterator[str]:
-    # The density class and the word buffer are checked at the call, not at
-    # the first word; the stream then reads `_walk` in batches, each resumed
-    # after the last word of the one before.
-    _check_density_class(n, d)
-    _word_buffer(n)
-    return _batches(n, d, lyndon)
+class _Words:
+    """A lazy stream of the Lyndon words (or necklaces) of one density class
+    in increasing lexicographic order, its class checked at the call. Read
+    a word at a time, it walks 1, 2, 4, ... up to `_BATCH` words at once,
+    each walk resumed after the last word of the one before; `first(k)`
+    walks the class's first k words at once."""
 
+    def __init__(self, n: int, d: int, lyndon: bool) -> None:
+        _check_density_class(n, d)
+        _word_buffer(n)
+        self._n, self._d, self._lyndon = n, d, lyndon
+        self._ahead: list[str] = []  # walked and not yet read, last word first
+        self._after = ""  # the last word walked
+        self._limit = 1  # words the next walk asks for; 0 once the class is done
 
-def _batches(n: int, d: int, lyndon: bool) -> Iterator[str]:
-    limit = 1
-    words = _walk(n, d, limit, lyndon)
-    while True:
-        yield from words
-        if len(words) < limit:
-            return
-        limit = min(2 * limit, _BATCH)
-        words = _walk(n, d, limit, lyndon, words[-1])
+    def __iter__(self) -> _Words:
+        return self
+
+    def __next__(self) -> str:
+        ahead = self._ahead
+        if not ahead:
+            limit, after = self._limit, self._after
+            if not limit:
+                raise StopIteration
+            # This frame starts the walk's first node itself: a method that
+            # ran the walk would nest it one frame deeper below the reader.
+            _nodes(self._n, self._d, limit, self._lyndon, after, ahead)(1, 1, 0, bool(after))
+            self._limit = min(2 * limit, _BATCH) if len(ahead) == limit else 0
+            if not ahead:
+                raise StopIteration
+            self._after = ahead[-1]
+            ahead.reverse()
+        return ahead.pop()
+
+    def first(self, k: int) -> list[str]:
+        """The class's first k >= 1 words, fewer when it has fewer, from one
+        walk; what the stream has yielded so far does not matter."""
+        words: list[str] = []
+        _nodes(self._n, self._d, k, self._lyndon, "", words)(1, 1, 0, False)
+        return words
 
 
 def _word_buffer(n: int) -> bytearray:
@@ -146,11 +168,14 @@ def _word_buffer(n: int) -> bytearray:
         raise ValueError(f"word length {n} is too large to store") from None
 
 
-def _walk(n: int, d: int, limit: int, lyndon: bool, after: str = "") -> list[str]:
-    """The first `limit` >= 1 Lyndon words (or necklaces) of length n and
-    density d in increasing lexicographic order, or the first `limit` after
-    the word `after` of that order; fewer when the order runs out. The
-    density class is the caller's to check."""
+def _nodes(
+    n: int, d: int, limit: int, lyndon: bool, after: str, words: list[str]
+) -> Callable[[int, int, int, bool], bool]:
+    """The node function of one walk. Called as (1, 1, 0, bool(after)) it
+    appends to `words` the first `limit` >= 1 Lyndon words (or necklaces)
+    of length n and density d after the word `after` (from the first when
+    it is empty), in increasing lexicographic order, fewer when the order
+    runs out, and returns True when it found `limit`."""
     # Fredricksen-Kessler-Maiorana recursion over prenecklaces, with branches
     # that cannot reach exactly d ones pruned away. Trying 0 before 1 at every
     # position makes the output order lexicographic; a leaf (all n symbols
@@ -172,14 +197,14 @@ def _walk(n: int, d: int, limit: int, lyndon: bool, after: str = "") -> list[str
     #
     # The walk stays over bits, one frame per position, and the node at
     # position n tests its leaf itself rather than calling down once more:
-    # with this function's own frame, the first word, 0^(n-d) 1^d, nests
-    # n + 1 frames below the caller, so n stays capped just below the
-    # recursion limit. A walk over the d gaps between ones would lift that
-    # cap, and with it change which long instances build.
+    # the first word, 0^(n-d) 1^d, nests n frames below the caller of the
+    # first node, the `_Words` method that the reader of the words calls,
+    # so n stays capped just below the recursion limit. A walk over the d
+    # gaps between ones would lift that cap, and with it change which long
+    # instances build.
     zero, one = ord("0"), ord("1")
     word = _word_buffer(n)
     path = b"0" + after.encode()
-    words: list[str] = []
 
     def extend(t: int, p: int, ones: int, resume: bool) -> bool:
         # Set position t of a node that can still reach d ones and is not
@@ -214,5 +239,4 @@ def _walk(n: int, d: int, limit: int, lyndon: bool, after: str = "") -> list[str
             return extend(t + 1, p, ones + 1, resume)
         return False
 
-    extend(1, 1, 0, bool(after))
-    return words
+    return extend

@@ -58,7 +58,7 @@ from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, not_
 
 from .feasibility import RegularInstance, SpanOneInstance, _Record, check_regular, check_span_one
-from .necklaces import _walk, common_divisors, count_lyndon
+from .necklaces import common_divisors, count_lyndon, gen_lyndon
 from .words import BinaryMatrix, _coset_block, _rotations, _row_blocks
 
 __all__ = [
@@ -239,7 +239,7 @@ def _plan_regular(inst: RegularInstance) -> tuple[list[_Segment], tuple[LevelPla
         # reserved word is the least Lyndon word, so the first walked: a
         # level that fills walks it and drops it, one that does not starts
         # with its class.
-        words = _walk(length, dens, q + fill_here, lyndon=True)[fill_here:]
+        words = gen_lyndon(length, dens).first(q + fill_here)[fill_here:]
         if len(words) != q:
             raise ConstructionInvariantError("ran out of Lyndon words", inst, d)
         segments.extend([(word * d, range(length)) for word in words])
@@ -323,7 +323,7 @@ def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstanc
     instance's degree vector as column sums, in column order.
 
     Each segment is one rotation class, named by its least word: a Lyndon
-    word tiled n/p times, p its period, as `_walk` lists them, or a
+    word tiled n/p times, p its period, as `gen_lyndon` yields them, or a
     reserved word (0^(p-e) 1^e)^(n/p), e = h*p/n. Two segments share rows
     only when their words are equal. A segment whose shifts are `range(p)`
     is a full class: p distinct rows adding e to every column. Any other

@@ -709,12 +709,12 @@ class TestInternalErrors:
 
 
 class TestCallDepth:
-    # From cli.main to the Lyndon walk, both counted, the call chain is main,
+    # From cli.main to gen_lyndon, both counted, the call chain is main,
     # cmd_reconstruct, rec_*_with_plan, _plan_* (span-one: then _plan_regular)
-    # and the walk: 5 and 6 frames, as measured before the construction had
-    # one call per degree class. The walk recurses to depth n, so one frame
-    # less lets larger n build before RecursionError; that changes which long
-    # sparse instances succeed and how much memory a run peaks at.
+    # and gen_lyndon: 5 and 6 frames, as measured before the construction had
+    # one call per degree class. The Lyndon generator recurses to depth n, so
+    # one frame less lets larger n build before RecursionError; that changes
+    # which long sparse instances succeed and how much memory a run peaks at.
     @pytest.mark.parametrize(
         "source, frames",
         [
@@ -728,14 +728,14 @@ class TestCallDepth:
         self, capsys, monkeypatch, source, frames, fmt
     ):
         depths = []
-        real = reconstruct._walk
+        real = reconstruct.gen_lyndon
 
-        def walk(n, d, limit, lyndon):
+        def gen_lyndon(n, d):
             codes = [info.frame.f_code for info in inspect.stack(0)]
             depths.append(codes.index(main.__code__) + 1)
-            return real(n, d, limit, lyndon)
+            return real(n, d)
 
-        monkeypatch.setattr(reconstruct, "_walk", walk)
+        monkeypatch.setattr(reconstruct, "gen_lyndon", gen_lyndon)
         code, _, _ = run(capsys, "reconstruct", *source, "--format", fmt)
         assert code == 0
         assert depths and set(depths) == {frames}

@@ -354,14 +354,14 @@ class TestRealizeChecks:
     def test_lyndon_generation_runs_as_deep_as_on_the_matrix_path(self, monkeypatch, degrees, h):
         # The benchmark's traced replay of realize calls rec_*_with_plan two
         # frames below its op, as through_matrix does here; realize must reach
-        # the Lyndon walk as deep, or its recursion would hit the
+        # gen_lyndon as deep, or the Lyndon recursion would hit the
         # interpreter's limit at other sizes in plain and traced runs.
         depths = []
-        real = reconstruct._walk
+        real = reconstruct.gen_lyndon
 
-        def walk(n, d, limit, lyndon):
+        def gen_lyndon(n, d):
             depths.append(len(inspect.stack(0)))
-            return real(n, d, limit, lyndon)
+            return real(n, d)
 
         def through_matrix(degrees, h):
             return from_incidence(build(check_degree_sequence(degrees, h).instance).matrix)
@@ -371,7 +371,7 @@ class TestRealizeChecks:
                 return rec_regular_with_plan(instance)
             return rec_span_one_with_plan(instance)
 
-        monkeypatch.setattr(reconstruct, "_walk", walk)
+        monkeypatch.setattr(reconstruct, "gen_lyndon", gen_lyndon)
         realize(degrees, h)
         plain = list(depths)
         depths.clear()

@@ -108,7 +108,7 @@ class TestCounting:
 
 
 def _reference_generate(n, d, lyndon):
-    """The reference for `necklaces._walk` and the streams read from it: the
+    """The reference for `necklaces._nodes` and the streams read from it: the
     same FKM recursion as a generator, without the cut at the last one, each
     leaf joined symbol by symbol."""
     necklaces._check_density_class(n, d)
@@ -228,25 +228,51 @@ class TestGeneration:
                 for lyndon in (True, False):
                     words = list(_reference_generate(n, d, lyndon))
                     for i, after in enumerate(words):
-                        rest = necklaces._walk(n, d, len(words), lyndon, after)
+                        rest = []
+                        necklaces._nodes(n, d, len(words), lyndon, after, rest)(1, 1, 0, True)
                         assert rest == words[i + 1 :], (n, d, lyndon, after)
 
     @pytest.mark.parametrize("generate", [gen_lyndon, gen_necklaces])
     def test_a_stream_read_to_k_words_walks_at_most_2k(self, monkeypatch, generate):
-        walked = 0
-        walk = necklaces._walk
+        # A walk finds at most the words it asks for.
+        asked = []
+        nodes = necklaces._nodes
 
-        def counted(*args):
-            nonlocal walked
-            words = walk(*args)
-            walked += len(words)
-            return words
+        def counted(n, d, limit, lyndon, after, words):
+            asked.append(limit)
+            return nodes(n, d, limit, lyndon, after, words)
 
-        monkeypatch.setattr(necklaces, "_walk", counted)
+        monkeypatch.setattr(necklaces, "_nodes", counted)
         for k in range(1, necklaces._BATCH):
-            walked = 0
-            assert len(list(islice(generate(24, 12), k))) == k
-            assert walked <= 2 * k, (k, walked)
+            asked.clear()
+            words = list(islice(generate(24, 12), k))
+            assert len(words) == k
+            assert sum(asked) <= 2 * k, k
+            assert generate(24, 12).first(k) == words
+
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    def test_a_stream_nests_n_plus_1_frames_below_its_reader(self, n):
+        # The stream's `__next__` and one walk frame per position, as the
+        # plan's `first`: a frame more moves the longest word `gen` prints.
+        reader = sys._getframe()
+        deepest = 0
+
+        def profile(frame, event, arg):
+            nonlocal deepest
+            if event == "call" and frame.f_code.co_filename == necklaces.__file__:
+                depth = 0
+                while frame is not None and frame is not reader:
+                    depth, frame = depth + 1, frame.f_back
+                if frame is not None:
+                    deepest = max(deepest, depth)
+
+        stream = gen_lyndon(n, 1)
+        sys.setprofile(profile)
+        try:
+            assert next(stream) == "0" * (n - 1) + "1"
+        finally:
+            sys.setprofile(None)
+        assert deepest == n + 1
 
     def test_early_termination_is_cheap(self):
         assert list(islice(gen_lyndon(24, 12), 3)) == [

@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from itertools import chain, cycle, filterfalse, islice, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -127,10 +128,13 @@ class TestPlanCheck:
         # 32,885 instances with 27 million edges between them: each segment's
         # edges are emitted once, and each Lyndon stream generated once
         # (test_necklaces checks the streams against brute force).
-        streams = functools.cache(lambda n, d: tuple(gen_lyndon(n, d)))
-        monkeypatch.setattr(
-            reconstruct, "_walk", lambda n, d, limit, lyndon: list(streams(n, d)[:limit])
-        )
+        generate = reconstruct.gen_lyndon
+        streams = functools.cache(lambda n, d: tuple(generate(n, d)))
+
+        def cached(n, d):
+            return SimpleNamespace(first=lambda k: streams(n, d)[:k])
+
+        monkeypatch.setattr(reconstruct, "gen_lyndon", cached)
         reference = _EdgeCheck()
         checked = 0
         for inst in feasible_regular_instances(14):
@@ -334,8 +338,8 @@ class TestRecRegularWorkedExamples:
 class TestWalkDepth:
     @pytest.mark.parametrize("n", [10, 50, 200])
     def test_the_walk_nests_n_plus_1_frames_below_the_plan(self, n):
-        # The first word of (n, 1), 0^(n-1) 1, takes the walk's entry frame
-        # and one frame per position. A frame more or less moves the
+        # The first word of (n, 1), 0^(n-1) 1, takes the stream's `first`
+        # and one walk frame per position. A frame more or less moves the
         # recursion cap of every construction, and with it which long
         # instances build; the call-site spies cannot see inside the walk.
         plan = reconstruct._plan_regular.__code__
@@ -360,7 +364,8 @@ class TestWalkDepth:
 
 class TestConstructionInvariantError:
     def test_names_instance_and_level(self, monkeypatch):
-        monkeypatch.setattr(reconstruct, "_walk", lambda n, d, limit, lyndon: [])
+        no_words = SimpleNamespace(first=lambda k: [])
+        monkeypatch.setattr(reconstruct, "gen_lyndon", lambda n, d: no_words)
         inst = RegularInstance(6, 15, 2, 5)
         with pytest.raises(ConstructionInvariantError) as info:
             rec_regular_with_plan(inst)
@@ -406,6 +411,17 @@ class TestConstructionInvariantError:
         assert str(info.value) == f"built parallel edges of {inst}"
 
 
+class _Counted:
+    """A word stream that records how many words the plan asks of it."""
+
+    def __init__(self, length, density):
+        self.length, self.density, self.asked = length, density, None
+
+    def first(self, k):
+        self.asked = k
+        return gen_lyndon(self.length, self.density).first(k)
+
+
 class TestRecRegularSweep:
     def test_all_feasible_instances_verify(self):
         for inst in feasible_regular_instances(10):
@@ -421,21 +437,20 @@ class TestRecRegularSweep:
         assert rec_regular_with_plan(inst).matrix == rec_regular_with_plan(inst).matrix
 
     def test_each_level_pulls_exactly_the_words_it_uses(self, monkeypatch):
-        # A level walks the words of its full classes and, when it fills with
+        # A level pulls the words of its full classes and, when it fills with
         # coset blocks, the reserved word it skips: no word goes unused.
-        asked = []
-        walk = reconstruct._walk
+        streams = []
 
-        def spy(length, density, limit, lyndon):
-            asked.append((length, density, limit))
-            return walk(length, density, limit, lyndon)
+        def spy(length, density):
+            streams.append(_Counted(length, density))
+            return streams[-1]
 
-        monkeypatch.setattr(reconstruct, "_walk", spy)
+        monkeypatch.setattr(reconstruct, "gen_lyndon", spy)
         for inst in chain(feasible_regular_instances(12), feasible_span_one_instances(12)):
-            asked.clear()
+            streams.clear()
             levels = reconstruct._BUILDERS[type(inst)](inst).levels
             used = [(l.length, l.density, l.full_words + (l.partial_blocks > 0)) for l in levels]
-            assert asked == used, inst
+            assert [(s.length, s.density, s.asked) for s in streams] == used, inst
 
     def test_at_most_one_partial_fill_level(self):
         for inst in feasible_regular_instances(9):
