@@ -51,15 +51,37 @@ def _integers(values: Sequence, rule: str) -> None:
 
 
 class _Record:
-    """Base of the immutable record types. A record stores its fields in its
-    instance `__dict__` from its own `__init__`; the class names them, in
+    """Base of the immutable record types. The class names its fields, in
     order, in its tuple `_fields`, which drives value equality (same class,
     equal fields), hashing, the repr, `__match_args__` and `to_json_dict`
-    (each field by name, nested records as they are). No attribute can be
-    assigned or deleted."""
+    (each field by name, nested records as they are). One constructor binds
+    positional and keyword arguments to `__match_args__` (the fields, unless
+    a class lists more), requires the first `_required` of them (all, unless
+    a class says fewer) and fills the rest with None; a missing, surplus,
+    unknown or repeated argument raises TypeError. A record that checks its
+    arguments does so in its own `__init__` and then stores them through
+    this one, the only code that writes a record's fields. No attribute can
+    be assigned or deleted."""
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__dict__.get("__match_args__", cls._fields)
+        cls._required = cls.__dict__.get("_required", len(cls.__match_args__))
+
+    def __init__(self, *values: object, **named: object) -> None:
+        names = self.__match_args__
+        if named or len(values) != len(names):
+            kind = type(self).__qualname__
+            if len(values) > len(names):
+                raise TypeError(f"{kind}() takes at most {len(names)} arguments, got {len(values)}")
+            for name in names[len(values) : self._required]:
+                if name not in named:
+                    raise TypeError(f"{kind}() missing argument {name!r}")
+            values += tuple([named.pop(name, None) for name in names[len(values) :]])
+            if named:
+                name = next(iter(named))
+                problem = "multiple values for" if name in names else "an unexpected keyword"
+                raise TypeError(f"{kind}() got {problem} argument {name!r}")
+        self.__dict__.update(zip(names, values))
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -97,8 +119,7 @@ class RegularInstance(_Record):
             raise ValueError("column count must be positive")
         if min(m, h, v) < 0:
             raise ValueError("projections must be nonnegative")
-        d = self.__dict__
-        d["n"], d["m"], d["h"], d["v"] = n, m, h, v
+        super().__init__(n, m, h, v)
 
     def degree_vector(self) -> tuple[int, ...]:
         return (self.v,) * self.n
@@ -120,8 +141,7 @@ class SpanOneInstance(_Record):
             raise ValueError("larger column sum must be positive")
         if h < 1:
             raise ValueError("row sum must be positive")
-        d = self.__dict__
-        d["n"], d["h"], d["v"], d["n0"], d["n1"] = n, h, v, n0, n1
+        super().__init__(n, h, v, n0, n1)
 
     @property
     def ones_total(self) -> int:
@@ -144,10 +164,7 @@ class Feasibility(_Record):
     integrality = no integral row count exists)."""
 
     _fields = ("feasible", "violated", "m")
-
-    def __init__(self, feasible: bool, violated: str | None = None, m: int | None = None) -> None:
-        d = self.__dict__
-        d["feasible"], d["violated"], d["m"] = feasible, violated, m
+    _required = 1
 
 
 def _verdict(n: int, m: int, h: int, v: int, ones: int) -> Feasibility:
@@ -274,15 +291,6 @@ class DegreeCheck(_Record):
     None), with the verdict `integrality`."""
 
     _fields = ("kind", "instance", "result")
-
-    def __init__(
-        self,
-        kind: str,
-        instance: RegularInstance | SpanOneInstance | None,
-        result: Feasibility | None,
-    ) -> None:
-        d = self.__dict__
-        d["kind"], d["instance"], d["result"] = kind, instance, result
 
 
 def check_degree_sequence(degrees: Sequence[int], h: int) -> DegreeCheck:

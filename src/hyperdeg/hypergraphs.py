@@ -15,7 +15,6 @@ import re
 from collections.abc import Iterable, Sequence
 
 from .feasibility import (
-    Feasibility,
     RegularInstance,
     SpanOneInstance,
     _integers,
@@ -56,16 +55,14 @@ class Hypergraph(_Record):
                 raise ValueError(f"edge repeats a vertex: {edge}")
             if edge[0] < 1 or edge[-1] > n:
                 raise ValueError(f"vertex index out of range in edge {edge}")
-        d = self.__dict__
-        d["n"], d["edges"] = n, normalized
+        super().__init__(n, normalized)
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
         """A hypergraph from edges already sorted, in range and distinct, with
         one nonzero size; none of it is checked again."""
         hypergraph = object.__new__(cls)
-        d = hypergraph.__dict__
-        d["n"], d["edges"] = n, edges
+        _Record.__init__(hypergraph, n, edges)
         return hypergraph
 
 
@@ -113,17 +110,7 @@ class RealizationResult(_Record):
     unsupported."""
 
     _fields = ("status", "hypergraph", "feasibility", "reason")
-
-    def __init__(
-        self,
-        status: str,
-        hypergraph: Hypergraph | None = None,
-        feasibility: Feasibility | None = None,
-        reason: str | None = None,
-    ) -> None:
-        d = self.__dict__
-        d["status"], d["hypergraph"] = status, hypergraph
-        d["feasibility"], d["reason"] = feasibility, reason
+    _required = 1
 
 
 def realize(degrees: Iterable[int] | Sequence[int], h: int) -> RealizationResult:

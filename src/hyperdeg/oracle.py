@@ -32,10 +32,7 @@ class OracleResult(_Record):
     witness found when one does (None otherwise)."""
 
     _fields = ("exists", "witness")
-
-    def __init__(self, exists: bool, witness: BinaryMatrix | None = None) -> None:
-        d = self.__dict__
-        d["exists"], d["witness"] = exists, witness
+    _required = 1
 
 
 def _candidate_rows(n: int, h: int) -> list[tuple[int, ...]]:
@@ -69,9 +66,10 @@ def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResul
         if total:
             return OracleResult(False)
         return OracleResult(True, BinaryMatrix((), n))
-    if total % h:
-        raise ValueError("column sums are inconsistent with the row sum")
-    m = total // h
+    m, rest = divmod(total, h)
+    if rest:
+        # No integral row count: no matrix has these column sums.
+        return OracleResult(False)
     # With h > n no row fits, and combinations(range(n), h) would first
     # allocate h indices: a huge h is a MemoryError, not an answer.
     candidates = _candidate_rows(n, h) if h <= n else []

@@ -118,13 +118,6 @@ class LevelPlan(_Record):
 
     _fields = ("divisor", "length", "density", "full_words", "partial_blocks")
 
-    def __init__(
-        self, divisor: int, length: int, density: int, full_words: int, partial_blocks: int
-    ) -> None:
-        d = self.__dict__
-        d["divisor"], d["length"], d["density"] = divisor, length, density
-        d["full_words"], d["partial_blocks"] = full_words, partial_blocks
-
 
 class _RendersRows:
     """The edges and rows of a reconstruction, read from its checked plan on
@@ -162,10 +155,6 @@ class RegularReconstruction(_RendersRows, _Record):
     _fields = ("instance", "levels")
     __match_args__ = (*_fields, "_segments")
 
-    def __init__(self, instance, levels, _segments) -> None:
-        d = self.__dict__
-        d["instance"], d["levels"], d["_segments"] = instance, levels, _segments
-
     def plan_json(self) -> dict:
         return {"levels": [level.to_json_dict() for level in self.levels]}
 
@@ -178,13 +167,6 @@ class SpanOneReconstruction(_RendersRows, _Record):
 
     _fields = ("instance", "lifted_rows", "lifted_degree", "rows_deleted", "levels")
     __match_args__ = (*_fields, "_segments")
-
-    def __init__(
-        self, instance, lifted_rows, lifted_degree, rows_deleted, levels, _segments
-    ) -> None:
-        d = self.__dict__
-        d["instance"], d["lifted_rows"], d["lifted_degree"] = instance, lifted_rows, lifted_degree
-        d["rows_deleted"], d["levels"], d["_segments"] = rows_deleted, levels, _segments
 
     @property
     def lifted_ones(self) -> int:
@@ -445,10 +427,7 @@ class VerifyResult(_Record):
     first failing property."""
 
     _fields = ("ok", "problem")
-
-    def __init__(self, ok: bool, problem: str | None = None) -> None:
-        d = self.__dict__
-        d["ok"], d["problem"] = ok, problem
+    _required = 1
 
     def __bool__(self) -> bool:
         return self.ok

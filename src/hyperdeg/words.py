@@ -147,8 +147,7 @@ class BinaryMatrix(_Record):
                         raise ValueError(
                             f"row {i} has {len(row)} columns, not {n}: {_preview(row)}"
                         )
-        d = self.__dict__
-        d["rows"], d["ncols"] = rows, n
+        super().__init__(rows, n)
 
     @property
     def nrows(self) -> int:

@@ -658,6 +658,13 @@ class TestOracleCommand:
             assert code == 1
             assert json.loads(out) == {"exists": False, "witness": None}
 
+    def test_no_integral_row_count_is_infeasible(self, capsys):
+        # A degree total of 3 admits no whole number of rows of sum 2; check
+        # answers the same list with exit 1 (integrality).
+        code, out, err = run(capsys, "oracle", "--h", "2", "--n", "3", "--v", "1")
+        assert code == 1 and err == ""
+        assert out == '{"exists": false, "witness": null}\n'
+
     def test_guard_is_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle", "--h", "2", "--degrees", "1,1,1,1,1,1,1,1,1")
         assert code == 2 and "error" in err
@@ -889,6 +896,17 @@ class TestUsageErrors:
         assert code == 2 and "error" in err
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _digest_tool():
+    """tools/cli_digests.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("cli_digests", ROOT / "tools" / "cli_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestOutputDigests:
     def test_every_small_list_gives_the_recorded_output(self):
         # stdout, stderr and exit code of check, reconstruct in each format
@@ -896,10 +914,27 @@ class TestOutputDigests:
         # against the entries of the n <= 14 record (CI walks all of it);
         # tools/cli_digests.py records the file again when a change means to
         # alter the output.
-        root = Path(__file__).resolve().parents[1]
-        spec = importlib.util.spec_from_file_location("cli_digests", root / "tools" / "cli_digests.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        recorded = json.loads((root / "tests" / "data" / "cli_digests_n14.json").read_text())
+        recorded = json.loads((ROOT / "tests" / "data" / "cli_digests_n14.json").read_text())
         small = {key: entry for key, entry in recorded.items() if int(key.split(",")[0]) <= 10}
-        assert module.digests(10) == small
+        assert _digest_tool().digests(10) == small
+
+
+class TestCommandsAgree:
+    def test_every_small_list_gets_one_answer(self, tmp_path):
+        # Over every regular and span-one list with n <= 6 that the digests
+        # walk, the three commands that decide a list exit alike, 0 or 1,
+        # and verify accepts the witness reconstruct writes for each feasible
+        # one. The exhaustive oracle is the ground truth the other two meet.
+        matrix, sources = str(tmp_path / "witness.lines"), _digest_tool()._sources
+        walked = 0
+        for n in range(1, 7):
+            for h in range(1, n + 1):
+                for source in sources(n, h):
+                    args = ["--h", str(h), *source]
+                    code = call("reconstruct", *args, "--output", matrix)[0]
+                    codes = (call("check", *args)[0], code, call("oracle", *args)[0])
+                    assert codes == (code,) * 3 and code in (0, 1), (args, codes)
+                    if code == 0:
+                        assert call("verify", *args, "--matrix", matrix)[0] == 0, args
+                    walked += 1
+        assert walked == 433

@@ -433,9 +433,6 @@ class TestCharacterizationAgainstOracle:
                         vector = inst.degree_vector()
                         if sum(vector) % h:
                             assert verdict.violated == "integrality"
-                            with pytest.raises(ValueError):
-                                exists_distinct_rows(n, h, vector)
-                            continue
                         assert verdict.feasible == exists_distinct_rows(n, h, vector).exists, inst
 
 

@@ -1,6 +1,5 @@
 """What importing the package and its CLI loads, in a fresh interpreter."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,16 +9,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_import_loads_neither_dataclasses_nor_inspect_nor_the_oracle():
     # dataclasses pulls in inspect (and with it ast, dis and tokenize); the
-    # oracle is read only by the `oracle` command.
+    # oracle is read only by the `oracle` command. The child runs isolated
+    # (-I: no PYTHON* variables, no user site), without the site hook (-S),
+    # whose .pth files may import anything first, and writes no bytecode
+    # (-B, which -I would otherwise not take from the environment); so it
+    # counts what hyperdeg loads, from src alone.
     code = (
-        "import sys, hyperdeg, hyperdeg.cli\n"
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import hyperdeg, hyperdeg.cli\n"
         "print(hyperdeg.__file__)\n"
         "print(*sorted({'dataclasses', 'inspect', 'hyperdeg.oracle'} & set(sys.modules)))"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(SRC)],
         capture_output=True,
         text=True,
         check=True,

@@ -50,8 +50,7 @@ class TestExistsDistinctRows:
             exists_distinct_rows(4, 2, (1, 1, 1))
         with pytest.raises(ValueError):
             exists_distinct_rows(4, 2, (1, 1, 1, -1))
-        with pytest.raises(ValueError):
-            exists_distinct_rows(4, 3, (1, 1, 1, 1))  # total not divisible by h
+        assert not exists_distinct_rows(4, 3, (1, 1, 1, 1)).exists  # total not divisible by h
 
     def test_exact_vector_search_respects_order(self):
         ordered = exists_distinct_rows(4, 2, (3, 3, 2, 2))

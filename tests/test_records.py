@@ -150,6 +150,22 @@ def test_defaults_apply(name):
     assert CASES[name][0](*args) == full
 
 
+def test_the_constructor_refuses_bad_arguments(case):
+    cls, params, record, _ = case
+    values = [getattr(record, name) for name in params]
+    first, *rest = params
+    with pytest.raises(TypeError, match="missing"):
+        cls(**dict(zip(rest, values[1:])))
+    with pytest.raises(TypeError, match="missing"):
+        cls()
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(*values, bogus=None)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*values, **{first: values[0]})
+
+
 def test_equal_values_hash_alike_and_each_field_counts(case):
     cls, params, record, _ = case
     twin = copy.copy(record)
