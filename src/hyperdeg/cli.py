@@ -50,11 +50,12 @@ def _degree_list(items: Iterable[str], empty: str) -> tuple[int, ...]:
 def _degrees_from_args(args: argparse.Namespace) -> tuple[int, ...]:
     """Resolve the degree source options to the tuple of degrees read or
     built, passed on in the order given: the library decides a list in any
-    order, and only `oracle` sorts what it is handed."""
+    order, and only `oracle` sorts what it is handed. A degree file's
+    byte-order mark is skipped."""
     if args.degrees is not None:
         return _degree_list(args.degrees.split(","), "no degrees given")
     if args.degrees_file is not None:
-        with open(args.degrees_file, encoding="utf-8") as handle:
+        with open(args.degrees_file, encoding="utf-8-sig") as handle:
             return _degree_list(handle, f"degree file {args.degrees_file} is empty")
     if args.n is not None and args.v is not None:
         try:
@@ -154,9 +155,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _read_matrix_lines(path: str, n: int) -> BinaryMatrix:
-    """The matrix in a file of one row per line; a file with no rows is the
-    matrix of no rows and n columns, as `reconstruct` writes for m = 0."""
-    with open(path, encoding="utf-8") as handle:
+    """The matrix in a file of one row per line, a byte-order mark skipped;
+    a file with no rows is the matrix of no rows and n columns, as
+    `reconstruct` writes for m = 0."""
+    with open(path, encoding="utf-8-sig") as handle:
         rows = tuple(filter(None, map(str.strip, handle)))
     return BinaryMatrix(rows, len(rows[0]) if rows else n)
 

@@ -60,8 +60,9 @@ class _Record:
     a class says fewer) and fills the rest with None; a missing, surplus,
     unknown or repeated argument raises TypeError. A record that checks its
     arguments does so in its own `__init__` and then stores them through
-    this one, the only code that writes a record's fields. No attribute can
-    be assigned or deleted."""
+    this one, the only code that writes a record's fields; `_trusted`
+    stores values built from checked input through it without those checks.
+    No attribute can be assigned or deleted."""
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__dict__.get("__match_args__", cls._fields)
@@ -82,6 +83,15 @@ class _Record:
                 problem = "multiple values for" if name in names else "an unexpected keyword"
                 raise TypeError(f"{kind}() got {problem} argument {name!r}")
         self.__dict__.update(zip(names, values))
+
+    @classmethod
+    def _trusted(cls, *values: object):
+        """A record of `values`, one per field in order, stored through this
+        constructor without the checks of the class's own `__init__`: for
+        values built from input those checks have already passed."""
+        record = object.__new__(cls)
+        _Record.__init__(record, *values)
+        return record
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

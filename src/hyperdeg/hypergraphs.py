@@ -6,7 +6,9 @@ checks every edge it is given. `from_incidence` trusts the checked
 `BinaryMatrix` it reads, whose rows already give sorted in-range edges, and
 checks only what a matrix does not guarantee; it serves matrices from outside.
 `realize` builds no matrix: it wraps the edges read off the construction's
-checked plan.
+checked plan. Both store their edges through `Hypergraph._trusted`, and
+`to_incidence` the rows it renders from a checked hypergraph through
+`BinaryMatrix._trusted`: nothing built from checked input is checked again.
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ class Hypergraph(_Record):
                 raise ValueError(f"vertex index out of range in edge {edge}")
         super().__init__(n, normalized)
 
-    @classmethod
-    def _trusted(cls, n: int, edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
-        """A hypergraph from edges already sorted, in range and distinct, with
-        one nonzero size; none of it is checked again."""
-        hypergraph = object.__new__(cls)
-        _Record.__init__(hypergraph, n, edges)
-        return hypergraph
-
 
 def from_incidence(matrix: BinaryMatrix) -> Hypergraph:
     """Read each row as an edge over the 1-based column indices of its ones.
@@ -91,8 +85,8 @@ def _check_edge_set(edges: tuple[tuple[int, ...], ...]) -> None:
 
 def to_incidence(hypergraph: Hypergraph) -> BinaryMatrix:
     """Inverse of from_incidence; row order follows edge order."""
-    n = hypergraph.n
-    return BinaryMatrix(tuple([_row_of_ones(edge, n, 1) for edge in hypergraph.edges]), n)
+    rows = tuple([_row_of_ones(edge, hypergraph.n, 1) for edge in hypergraph.edges])
+    return BinaryMatrix._trusted(rows, hypergraph.n)
 
 
 def degree_sequence(hypergraph: Hypergraph) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from itertools import combinations
 from operator import gt
 
-from .feasibility import _Record
+from .feasibility import _integers, _Record
 from .words import BinaryMatrix, _row_of_ones
 
 __all__ = [
@@ -48,6 +48,7 @@ def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResul
     to h, whose column sums equal col_sums. Sound and complete within the
     size guard; the witness, when present, is the lexicographically least
     row selection."""
+    _integers((n,), "column count must be an integer")
     if n < 1:
         raise ValueError("column count must be positive")
     if n > MAX_DISTINCT_ROWS_COLS:
@@ -65,7 +66,7 @@ def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResul
         # Only all-zero rows are available and at most one may appear.
         if total:
             return OracleResult(False)
-        return OracleResult(True, BinaryMatrix((), n))
+        return OracleResult(True, BinaryMatrix._trusted((), n))
     m, rest = divmod(total, h)
     if rest:
         # No integral row count: no matrix has these column sums.
@@ -113,7 +114,7 @@ def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResul
 
     if search(0, m):
         rows = tuple(_row_of_ones(candidates[i], n) for i in chosen)
-        return OracleResult(True, BinaryMatrix(rows, n))
+        return OracleResult(True, BinaryMatrix._trusted(rows, n))
     return OracleResult(False)
 
 

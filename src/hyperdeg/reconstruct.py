@@ -18,14 +18,17 @@ whole; a level's reserved word lists its coset blocks' rotations, block 0
 first, in one segment. One `LevelPlan` per level records the counts.
 `rec_*_with_plan`, the one construction call per degree class, checks the
 witness on its plan, one segment at a time, as the paper proves it valid
-(`_check_plan`): rows are distinct because no two segments share a word and
-each segment's rotations are distinct, and the column sums follow from each
-segment's word and shifts. That takes O(#segments * n) string operations in
-C; no row or edge is built for it.
+(`_check_plan`): each word holds h '1's, n-h '0's and no other symbol, rows
+are distinct because no two segments share a word and each segment's
+rotations are distinct, and the column sums follow from each segment's word
+and shifts. That takes O(#segments * n) string operations in C; no row or
+edge is built for it.
 
-Edges and rows are read off the checked plan only when asked for, and
-neither is checked again: `edges` (for `realize` and `--format edges`), and
-the '0'/'1' rows as `matrix` or `row_blocks`.
+Edges and rows are read off the checked plan each time they are asked for,
+and neither is checked again: `edges` (for `realize` and `--format edges`),
+and the '0'/'1' rows as `matrix` (stored through `BinaryMatrix._trusted`,
+without the row check of the `BinaryMatrix` constructor) or `row_blocks`. A
+reconstruction keeps neither, so it holds, pickles and copies as its plan.
 
 Edges are emitted in runs. Across a range of shifts, the window of a word's
 one-positions that makes up a row moves only when the shift passes the next
@@ -53,9 +56,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, not_
+from operator import not_
 
 from .feasibility import RegularInstance, SpanOneInstance, _Record, check_regular, check_span_one
 from .necklaces import common_divisors, count_lyndon, gen_lyndon
@@ -121,18 +123,21 @@ class LevelPlan(_Record):
 
 class _RendersRows:
     """The edges and rows of a reconstruction, read from its checked plan on
-    first use: `edges`, `matrix`, or `row_blocks` a bounded block at a time."""
+    each use and kept nowhere: `edges`, `matrix`, or `row_blocks` a bounded
+    block at a time."""
 
-    @cached_property
+    @property
     def edges(self) -> _Edges:
         """Sorted 1-based one-positions of each row, in row order, read off
         the checked plan as `row_blocks` reads the rows: nothing is checked
         again (`_edges` says why)."""
         return _edges(self._segments)
 
-    @cached_property
+    @property
     def matrix(self) -> BinaryMatrix:
-        return BinaryMatrix(tuple(chain.from_iterable(self.row_blocks())), self.instance.n)
+        """The '0'/'1' rows of `row_blocks`, stored as they are: the plan they
+        are read from is checked."""
+        return BinaryMatrix._trusted(tuple(chain.from_iterable(self.row_blocks())), self.instance.n)
 
     def row_blocks(self) -> Iterator[tuple[str, ...]]:
         """The '0'/'1' rows of `matrix` in blocks of at most 2^16 symbols (one
@@ -301,8 +306,12 @@ def _lifted(inst: SpanOneInstance) -> RegularInstance:
 
 def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstance) -> None:
     """Check the witness a plan spells without building a row or an edge:
-    m rows, each of n columns and h ones, pairwise distinct, with the
-    instance's degree vector as column sums, in column order.
+    m rows, each of n columns, h ones and n-h zeros, pairwise distinct, with
+    the instance's degree vector as column sums, in column order.
+
+    A word of n symbols with h '1's and n-h '0's holds no other symbol. A
+    stray symbol is reported as an edge not of size h: `_edges` would read
+    it as a one.
 
     Each segment is one rotation class, named by its least word: a Lyndon
     word tiled n/p times, p its period, as `gen_lyndon` yields them, or a
@@ -315,14 +324,14 @@ def _check_plan(segments: list[_Segment], inst: RegularInstance | SpanOneInstanc
     at rotation s has its ones in columns [p-e-s, p-s) mod p, tiled. A plan
     this cannot show distinct is reported as parallel edges."""
     n, h = inst.n, inst.h
-    words = list(map(itemgetter(0), segments))
-    shifts = list(map(itemgetter(1), segments))
+    words, shifts = tuple(zip(*segments)) or ((), ())
     rows = sum(map(len, shifts))
     if rows != inst.m:
         raise ConstructionInvariantError(f"built {rows} edges, expected {inst.m}", inst)
     if set(map(len, words)) - {n}:
         raise ConstructionInvariantError("built a vertex outside 1..n", inst)
-    if set(map(str.count, words, repeat("1"))) - {h}:
+    symbols = zip(map(str.count, words, repeat("0")), map(str.count, words, repeat("1")))
+    if set(symbols) - {(n - h, h)}:
         raise ConstructionInvariantError(f"built an edge not of size {h}", inst)
     if len(set(words)) != len(words):
         raise ConstructionInvariantError("built parallel edges", inst)

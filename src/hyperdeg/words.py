@@ -9,8 +9,12 @@ the construction plans from them. `_row_of_ones` is the one rule that turns
 a row's one-positions into its '0'/'1' string.
 
 Input is checked where it enters: each public function checks its word, and
-`BinaryMatrix` checks every row once. Internal builders such as `_rotations`
-trust the word their caller has checked.
+the `BinaryMatrix` constructor checks every row it is given once, for rows
+from outside. Internal builders trust the layer before them: `_rotations`
+trusts the word its caller has checked, and `shift_matrix` and
+`block_submatrix` store the rows they build from a checked word or checked
+sizes through `BinaryMatrix._trusted`, unchecked. `transpose` alone builds
+through the constructor, which refuses the transpose of a matrix with no rows.
 """
 
 from __future__ import annotations
@@ -178,7 +182,7 @@ def shift_matrix(u: str) -> BinaryMatrix:
     The matrix has period(u) rows and homogeneous column sums equal to
     density(u) * period(u) / len(u).
     """
-    return BinaryMatrix(_rotations(u, range(period(u))), len(u))
+    return BinaryMatrix._trusted(_rotations(u, range(period(u))), len(u))
 
 
 def block_submatrix(n: int, h: int, j: int) -> BinaryMatrix:
@@ -193,4 +197,4 @@ def block_submatrix(n: int, h: int, j: int) -> BinaryMatrix:
     g = math.gcd(n, h)
     if not 0 <= j < g:
         raise ValueError(f"block index must lie in [0, {g}), got {j}")
-    return BinaryMatrix(_rotations(*_coset_block(n, h, j)), n)
+    return BinaryMatrix._trusted(_rotations(*_coset_block(n, h, j)), n)

@@ -148,6 +148,15 @@ class TestCheck:
         assert call("check", "--h", "2", "--degrees", " 3, ,3,3 ,3") == regular
         assert call("check", "--h", "2", "--degrees-file", str(path)) == regular
 
+    def test_a_degree_file_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        plain, marked = tmp_path / "plain.degrees", tmp_path / "marked.degrees"
+        plain.write_bytes(b"3\r\n3\n3\n3\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for command in ("check", "reconstruct"):
+            expected = call(command, "--h", "2", "--degrees-file", str(plain))
+            assert expected[0] == 0
+            assert call(command, "--h", "2", "--degrees-file", str(marked)) == expected
+
     def test_an_empty_degree_list_is_usage_error(self, tmp_path):
         path = tmp_path / "degrees.txt"
         path.write_text("")
@@ -552,6 +561,15 @@ class TestVerifyCommand:
         code, out, err = call("verify", "--h", "2", "--degrees", degrees, "--matrix", str(path))
         assert (code, out) == (2, "") and err.startswith("error: row 1 has symbol 'x'")
 
+    def test_a_matrix_file_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        instance = ("--h", "2", "--n", "6", "--v", "5")
+        assert call("reconstruct", *instance, "--output", str(plain)) == (0, "", "")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = call("verify", *instance, "--matrix", str(plain))
+        assert expected == (0, '{"valid": true, "problem": null}\n', "")
+        assert call("verify", *instance, "--matrix", str(marked)) == expected
+
     def test_unsupported_class_is_refused_as_by_reconstruct(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("110\n")
@@ -910,8 +928,10 @@ def _digest_tool():
 class TestOutputDigests:
     def test_every_small_list_gives_the_recorded_output(self):
         # stdout, stderr and exit code of check, reconstruct in each format
-        # and verify, over every regular and span-one list with n <= 10,
-        # against the entries of the n <= 14 record (CI walks all of it);
+        # and verify over every regular and span-one list with n <= 10, oracle
+        # over those with n <= 6, and count, gen (whole and --limit 3) and
+        # bipartite in each format for every (n, h) with n <= 10, against the
+        # entries of the n <= 14 record (CI walks all of it);
         # tools/cli_digests.py records the file again when a change means to
         # alter the output.
         recorded = json.loads((ROOT / "tests" / "data" / "cli_digests_n14.json").read_text())

@@ -52,6 +52,13 @@ class TestExistsDistinctRows:
             exists_distinct_rows(4, 2, (1, 1, 1, -1))
         assert not exists_distinct_rows(4, 3, (1, 1, 1, 1)).exists  # total not divisible by h
 
+    @pytest.mark.parametrize("h, col_sums", [(0, (0, 0)), (1, (1, 1))])
+    def test_a_column_count_that_is_no_integer_is_refused(self, h, col_sums):
+        # The witness is stored unchecked, so the column count is checked
+        # where it enters, whatever the row sum.
+        with pytest.raises(ValueError, match="column count must be an integer, got 2.0"):
+            exists_distinct_rows(2.0, h, col_sums)
+
     def test_exact_vector_search_respects_order(self):
         ordered = exists_distinct_rows(4, 2, (3, 3, 2, 2))
         assert ordered.witness.col_sums() == (3, 3, 2, 2)

@@ -170,6 +170,12 @@ class TestPlanCheck:
                 [("000011011", range(9)), _BLOCKS[1]],
                 "built an edge not of size 3",
             ),
+            # A symbol other than '0' and '1', which the edges would read as a one.
+            (
+                RegularInstance(6, 15, 2, 5),
+                [("000211", range(6))] + _CLASSES[1:],
+                "built an edge not of size 2",
+            ),
             # A class or a block twice, in place of the segment after it.
             (RegularInstance(6, 15, 2, 5), _CLASSES[:1] * 2 + _CLASSES[2:], "built parallel edges"),
             (
@@ -228,6 +234,7 @@ class TestPlanCheck:
             "dropped-class",
             "word-one-column-short",
             "word-one-one-too-many",
+            "word-with-a-stray-symbol",
             "duplicated-class",
             "duplicated-block",
             "block-shift-onto-a-row",

@@ -8,9 +8,10 @@ import pickle
 
 import pytest
 
+from hyperdeg import cli, words
 from hyperdeg.feasibility import DegreeCheck, Feasibility, RegularInstance, SpanOneInstance
-from hyperdeg.hypergraphs import Hypergraph, RealizationResult
-from hyperdeg.oracle import OracleResult
+from hyperdeg.hypergraphs import Hypergraph, RealizationResult, to_incidence
+from hyperdeg.oracle import OracleResult, exists_distinct_rows
 from hyperdeg.reconstruct import (
     LevelPlan,
     RegularReconstruction,
@@ -234,6 +235,64 @@ def test_a_round_trip_keeps_the_rows_read_off_the_plan():
     for built in (REGULAR_BUILT, SPAN_ONE_BUILT):
         twin = pickled(built)
         assert twin.edges == built.edges and twin.matrix == built.matrix
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rec_regular_with_plan(RegularInstance(60, 1770, 2, 59)),
+        lambda: rec_span_one_with_plan(SPAN_ONE),
+    ],
+    ids=["regular", "span-one"],
+)
+def test_reading_the_witness_leaves_the_record_as_it_was(build):
+    # A reconstruction keeps neither witness form: its fields, its pickle and
+    # its deep copy are its plan, before and after `edges` and `matrix`.
+    built = build()
+    before = (dict(vars(built)), pickle.dumps(built), vars(copy.deepcopy(built)))
+    assert built.edges and built.matrix.rows
+    assert (vars(built), pickle.dumps(built), vars(copy.deepcopy(built))) == before
+    assert list(vars(built)) == list(type(built).__match_args__)
+
+
+def test_trusted_gives_the_value_of_the_checked_constructor():
+    for cls, args in [(BinaryMatrix, (("011", "110"), 3)), (Hypergraph, (3, ((2, 3), (1, 2))))]:
+        trusted = cls._trusted(*args)
+        assert type(trusted) is cls and trusted == cls(*args)
+        assert repr(trusted) == repr(cls(*args)) and vars(trusted) == vars(cls(*args))
+
+
+def test_only_rows_from_outside_and_a_transpose_are_checked(monkeypatch, tmp_path):
+    # Rows built from checked input are stored through `_trusted`; the
+    # `BinaryMatrix` constructor checks only rows read from a file, rows a
+    # caller passes, and a transpose, which refuses a matrix with no rows.
+    checked = []
+    check = BinaryMatrix.__init__
+
+    def spy(self, rows, ncols):
+        checked.append(ncols)
+        check(self, rows, ncols)
+
+    monkeypatch.setattr(BinaryMatrix, "__init__", spy)
+    internal = [
+        lambda: REGULAR_BUILT.matrix,
+        lambda: SPAN_ONE_BUILT.matrix,
+        lambda: words.shift_matrix("000101"),
+        lambda: words.block_submatrix(9, 3, 1),
+        lambda: to_incidence(HYPERGRAPH),
+        lambda: exists_distinct_rows(4, 2, (1, 1, 1, 1)).witness,
+        lambda: exists_distinct_rows(4, 0, (0, 0, 0, 0)).witness,
+    ]
+    for build in internal:
+        assert type(build()) is BinaryMatrix
+    assert checked == []
+    path = tmp_path / "m.txt"
+    path.write_text("011\n110\n")
+    read, transposed = cli._read_matrix_lines(str(path), 3), MATRIX.transpose()
+    assert checked == [3, 2]
+    assert read == MATRIX and transposed.rows == ("01", "11", "10")
+    with pytest.raises(ValueError, match="at least one column"):
+        BinaryMatrix((), 3).transpose()
 
 
 @pytest.mark.parametrize("name", ["Feasibility", "LevelPlan"])
