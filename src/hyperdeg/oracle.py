@@ -49,6 +49,7 @@ def exists_distinct_rows(n: int, h: int, col_sums: Sequence[int]) -> OracleResul
     size guard; the witness, when present, is the lexicographically least
     row selection."""
     _integers((n,), "column count must be an integer")
+    _integers((h,), "row sum must be an integer")
     if n < 1:
         raise ValueError("column count must be positive")
     if n > MAX_DISTINCT_ROWS_COLS:

@@ -30,17 +30,15 @@ and the '0'/'1' rows as `matrix` (stored through `BinaryMatrix._trusted`,
 without the row check of the `BinaryMatrix` constructor) or `row_blocks`. A
 reconstruction keeps neither, so it holds, pickles and copies as its plan.
 
-Edges are emitted in runs. Across a range of shifts, the window of a word's
-one-positions that makes up a row moves only when the shift passes the next
-one-position; in between, each edge is the previous one moved down by one.
-Rows are built three ways, chosen by the word's length n and the run's length
-alone. A run of at least `_RUN` shifts is emitted as `zip` over one
-descending range per vertex of its window, so the tuples are built in C.
-Shorter runs, coset blocks and the span-one cut (whose shifts are lists),
-and the empty rows of h = 0 are emitted row by row: for n <= 255 by
-translating the window, packed one byte per vertex, through a table that
-subtracts the shift, also in C; for longer words by one subtraction per
-vertex.
+Edges of words shorter than 128 symbols are emitted in byte batches, one
+byte per vertex. A row's edge is a window of its word's doubled one-positions
+moved down by its shift; over a range of shifts the window moves only when
+the shift passes the next one-position, so each run of rows repeats one
+index pattern, and listed shifts take one pattern per row. One
+`bytes.translate` per segment gathers the one-positions, and one big-integer
+subtraction per block of segments takes every row's shift from them at once.
+Longer words, h = 0 and shifts no checked plan holds are walked one run of
+rows at a time, as `_edges` says.
 
 The span-one build lifts the instance to the smallest strictly larger
 homogeneous one whose total fits the divisibility constraints, plans that,
@@ -54,10 +52,10 @@ never reordered.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, compress, repeat
-from operator import not_
+from operator import mul, not_, sub
 
 from .feasibility import RegularInstance, SpanOneInstance, _Record, check_regular, check_span_one
 from .necklaces import common_divisors, count_lyndon, gen_lyndon
@@ -88,9 +86,13 @@ _RUN = 4
 # it, the per-cell passes were faster in a sweep over n and h.
 _SPARSE = 120
 
+# Vertices past which `_edges` ends a block of batched segments, each block
+# one subtraction: of 2^12 to 2^18, 2^14 ran fastest over `dense-regular`.
+_BLOCK = 1 << 14
+
+_BYTES = bytes(range(256))
 # _MINUS[j] maps each byte b to (b - j) mod 256: translating a row's window
 # of one-positions, packed mod 256, through it subtracts the shift j.
-_BYTES = bytes(range(256))
 _MINUS = tuple(_BYTES[-j:] + _BYTES[:-j] for j in range(256))
 
 
@@ -381,27 +383,88 @@ def _edges(segments: list[_Segment]) -> _Edges:
       in k+1 .. k+n and every vertex in 1..n;
     - no two edges are equal, as no two rows of the plan are.
 
-    A range of shifts is walked as runs over which that window stays put:
-    it moves only at the next one-position. Lists of shifts (the coset
-    blocks or span-one cut of a reserved word) and the empty word of h = 0
-    are taken row by row.
-    Rows are built three ways:
-    - a run of at least `_RUN` rows by `zip` over one descending range per
-      window vertex, which builds the tuples in C;
-    - shorter runs and listed rows of a word of length n <= 255 by
-      translating the window, packed one byte per vertex mod 256, through
-      `_MINUS[k]`, also in C; the result is exact, as every vertex lies in
-      1..n;
-    - those rows of longer words by one subtraction per vertex."""
+    A segment of a word of length n < 128 with h >= 1 ones and its shifts in
+    [0, n) is batched, one byte per vertex:
+    - its rows' windows are spelled as indices (`_BYTES` slices) into its
+      doubled one-positions. Over a range of shifts a window moves only at
+      the next one-position, so each run of rows repeats one index pattern;
+      listed shifts (the coset blocks or span-one cut of a reserved word)
+      take one pattern per row;
+    - one `bytes.translate` per segment gathers the one-positions, all below
+      256;
+    - one big-integer subtraction per block of segments (`_BLOCK` vertices
+      and at most one segment more) takes a staircase of every row's shift,
+      repeated h times, from every vertex at once. Each result lies in 1..n,
+      so no byte borrows from the next. Every full class of a level shares
+      one staircase;
+    - `zip` cuts the bytes into edges of h vertices.
+
+    Other segments are walked one run of rows at a time: by `zip` over one
+    descending range per window vertex for a run of at least `_RUN` rows;
+    shorter runs and listed shifts of words of length n <= 255 by
+    translating the window, packed one byte per vertex mod 256, through
+    `_MINUS[k]`; those of longer words by one subtraction per vertex. The
+    walk takes words of 128 or more symbols, the empty rows of h = 0, and
+    shifts no checked plan holds."""
     edges: list[tuple[int, ...]] = []
+    gathered: list[bytes] = []  # the block's one-positions, a segment each
+    stairs: list[bytes] = []  # and the shift of each of their rows
+    block = (0, 0)  # the h and n of the block's words
+    size = 0  # the block's vertices
+    ranges: dict[range, bytes] = {}  # the staircase of each range of shifts
+
+    def flush() -> None:
+        nonlocal size
+        joined = b"".join(gathered)
+        value = int.from_bytes(joined, "big") - int.from_bytes(b"".join(stairs), "big")
+        edges.extend(zip(*[iter(value.to_bytes(len(joined), "big"))] * block[0]))
+        gathered.clear()
+        stairs.clear()
+        size = 0
+
     for word, shifts in segments:
         n = len(word)
         # The word's '0'/'1' bytes less ord("0") are its bits.
-        ones = list(compress(range(1, n + 1), word.encode().translate(_MINUS[ord("0")])))
-        doubled = ones + [p + n for p in ones]
+        bits = word.encode().translate(_MINUS[ord("0")])
+        whole = isinstance(shifts, range) and shifts.step == 1
+        if (
+            n < 128
+            and (
+                0 <= shifts.start and shifts.stop <= n
+                if whole
+                else 0 <= min(shifts, default=0) and max(shifts, default=0) < n
+            )
+            and (ones := bytes(compress(_BYTES[1 : n + 1], bits)))
+        ):
+            h = len(ones)
+            if stairs and (block != (h, n) or size >= _BLOCK):
+                flush()
+            if block != (h, n):
+                block = (h, n)
+                ranges.clear()
+                windows = [_BYTES[s : s + h] for s in range(h + 1)]
+                plus = _BYTES[n:] + _BYTES[:n]  # adds n
+            if whole:
+                a, b = shifts.start, shifts.stop
+                s = bisect_right(ones, a)
+                bounds = [a, *ones[s : bisect_left(ones, b)], b]
+                pattern = b"".join(map(mul, windows[s:], map(sub, bounds[1:], bounds)))
+                if shifts not in ranges:
+                    ranges[shifts] = _stair(shifts, h)
+                stairs.append(ranges[shifts])
+            else:
+                pattern = b"".join(map(windows.__getitem__, map(bisect_right, repeat(ones), shifts)))
+                stairs.append(_stair(shifts, h))
+            gathered.append(pattern.translate((ones + ones.translate(plus)).ljust(256, b"\0")))
+            size += len(pattern)
+            continue
+        if stairs:
+            flush()
+        ones = list(compress(range(1, n + 1), bits))
         h = len(ones)
+        doubled = ones + [p + n for p in ones]
         packed = bytes([p & 255 for p in doubled]) if n < 256 else None
-        if not (h and isinstance(shifts, range) and shifts.step == 1):
+        if not (h and whole):
             starts = map(bisect_right, repeat(ones), shifts)
             if packed is None:
                 edges.extend(
@@ -413,7 +476,7 @@ def _edges(segments: list[_Segment]) -> _Edges:
                 )
             continue
         k, stop = shifts.start, shifts.stop
-        s = word.count("1", 0, k)
+        s = bisect_right(ones, k)
         while k < stop:
             # The window moves on at the next one-position, doubled[s].
             end = doubled[s]
@@ -428,7 +491,18 @@ def _edges(segments: list[_Segment]) -> _Edges:
                 edges.extend(map(tuple, map(packed[s : s + h].translate, _MINUS[k:end])))
             k = end
             s += 1
+    if stairs:
+        flush()
     return tuple(edges)
+
+
+def _stair(shifts: Sequence[int], h: int) -> bytearray:
+    """Each shift, all in 0..255, repeated h times."""
+    stair = bytearray(len(shifts) * h)
+    column = bytes(shifts)
+    for i in range(h):
+        stair[i::h] = column
+    return stair
 
 
 class VerifyResult(_Record):

@@ -192,6 +192,7 @@ def block_submatrix(n: int, h: int, j: int) -> BinaryMatrix:
     there are n/gcd(n,h) of them and every column sums to h/gcd(n,h). The
     blocks for j = 0 .. gcd(n,h)-1 partition the full rotation class.
     """
+    _integers((n, h, j), "word length, density and block index must be integers")
     if not 1 <= h <= n - 1:
         raise ValueError(f"need 1 <= h <= n-1, got n={n}, h={h}")
     g = math.gcd(n, h)

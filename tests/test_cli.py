@@ -941,13 +941,13 @@ class TestOutputDigests:
 
 class TestCommandsAgree:
     def test_every_small_list_gets_one_answer(self, tmp_path):
-        # Over every regular and span-one list with n <= 6 that the digests
+        # Over every regular and span-one list with n <= 7 that the digests
         # walk, the three commands that decide a list exit alike, 0 or 1,
         # and verify accepts the witness reconstruct writes for each feasible
         # one. The exhaustive oracle is the ground truth the other two meet.
         matrix, sources = str(tmp_path / "witness.lines"), _digest_tool()._sources
         walked = 0
-        for n in range(1, 7):
+        for n in range(1, 8):
             for h in range(1, n + 1):
                 for source in sources(n, h):
                     args = ["--h", str(h), *source]
@@ -957,4 +957,4 @@ class TestCommandsAgree:
                     if code == 0:
                         assert call("verify", *args, "--matrix", matrix)[0] == 0, args
                     walked += 1
-        assert walked == 433
+        assert walked == 937

@@ -59,6 +59,10 @@ class TestExistsDistinctRows:
         with pytest.raises(ValueError, match="column count must be an integer, got 2.0"):
             exists_distinct_rows(2.0, h, col_sums)
 
+    def test_a_row_sum_that_is_no_integer_is_refused(self):
+        with pytest.raises(ValueError, match=r"^row sum must be an integer, got 1\.0$"):
+            exists_distinct_rows(3, 1.0, (1, 1, 1))
+
     def test_exact_vector_search_respects_order(self):
         ordered = exists_distinct_rows(4, 2, (3, 3, 2, 2))
         assert ordered.witness.col_sums() == (3, 3, 2, 2)

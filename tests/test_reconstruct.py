@@ -840,6 +840,62 @@ class TestEdgesFromPlan:
             assert packed.translate(reconstruct._MINUS[j]) == bytes(range(1, 256))
 
 
+def _boundary_instances(seed):
+    """Regular and span-one instances with n on both sides of the word
+    lengths where `_edges` changes how it builds rows (128, 256) and h on
+    both sides of 128, about 400 rows each, their degrees drawn by `seed`;
+    then three with a tiled level: (15, 3) and (126, 2) take the last Lyndon
+    words of the base level and one class of a level above it, and (128, 2)
+    the same past the batch."""
+    rng = random.Random(seed)
+    for n in (15, 127, 128, 255, 256, 300):
+        for h in sorted({2, n // 2, 128, 129} & set(range(1, n))):
+            step = h // math.gcd(n, h)
+            v = step * rng.randint(1, max(1, min(binomial(n - 1, h - 1), 400 * h // n) // step))
+            yield RegularInstance(n, n * v // h, h, v)
+            v = rng.randint(1, max(1, 400 * h // n))
+            # n1 = n*v mod h, moved up by whole multiples of h, keeps h*m = n*v - n1.
+            n1 = (n * v - 1) % h + 1
+            n1 += h * rng.randint(0, (n - 1 - n1) // h)
+            yield SpanOneInstance(n, h, v, n - n1, n1)
+    yield RegularInstance(15, 455, 3, 91)
+    yield RegularInstance(126, 7875, 2, 125)
+    yield RegularInstance(128, 8128, 2, 127)
+
+
+class TestEdgesAtTheByteBounds:
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_words_on_each_side_of_the_batch_give_the_rotated_rows(self, n):
+        # The longest words whose rows are batched and the shortest that are
+        # walked: runs one row short of zip, and words of h spread ones with
+        # a range from a later start and every shift listed.
+        for h in (1, 2, n // 2, n - 1, n):
+            word = "".join("1" if i * h % n < h else "0" for i in range(n))
+            segments = [(_spaced(n), range(n)), (word, range(n // 3, n)), (word, range(n)[::-1])]
+            assert reconstruct._edges(segments) == _naive_edges(segments)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_edges_are_the_one_positions_of_each_built_row(self, seed):
+        # The rows are rendered apart from `_edges`, from the same plan.
+        shapes = Counter()
+        for inst in _boundary_instances(seed):
+            if isinstance(inst, SpanOneInstance) and not check_span_one(inst).feasible:
+                continue
+            built = _BUILDERS[type(inst)](inst)
+            rows = built.matrix.rows
+            assert built.edges == tuple(
+                tuple(i for i, c in enumerate(row, 1) if c == "1") for row in rows
+            ), inst
+            shapes["span-one cut"] += isinstance(inst, SpanOneInstance)
+            shapes["coset fill"] += any(level.partial_blocks for level in built.levels)
+            shapes["tiled level"] += any(
+                level.divisor > 1 and level.full_words for level in built.levels
+            )
+            shapes[inst.n] += 1
+        assert min(shapes[shape] for shape in ("span-one cut", "coset fill", "tiled level")) >= 1
+        assert all(shapes[n] >= 2 for n in (15, 127, 128, 255, 256, 300)), shapes
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize(
         "inst",

@@ -166,6 +166,16 @@ class TestBlockSubmatrix:
         with pytest.raises(ValueError):
             block_submatrix(4, 0, 0)
 
+    @pytest.mark.parametrize(
+        "args, value", [((9.0, 3, 1), 9.0), ((9, 3.0, 1), 3.0), ((9, 3, 1.0), 1.0)]
+    )
+    def test_an_argument_that_is_no_integer_is_refused(self, args, value):
+        with pytest.raises(ValueError) as info:
+            block_submatrix(*args)
+        assert str(info.value) == (
+            f"word length, density and block index must be integers, got {value!r}"
+        )
+
     def test_block_row_count_is_minimal(self):
         # Among matrices with row sums h and homogeneous column sums, no row
         # count below n/gcd(n,h) even balances the totals, and the block

@@ -12,6 +12,13 @@ of its stream (1 and 2 words), and, for h < n, `bipartite --k h` in each
 format. One digest per (n, h) and command covers stdout, stderr and the exit
 code of every run in walk order.
 
+Whatever --max-n, the record also holds `LARGE`, a fixed list of larger
+instances with n from 15 to 300, each run through `reconstruct` in the
+`edges` and `lines` formats, as the commands `large-reconstruct-edges` and
+`large-reconstruct-lines` of its (n, h): their digests pin output that no
+walk up to n = 14 reaches (word lengths on both sides of 128 and 256, edge
+sizes on both sides of 128, tiled levels, coset fills and span-one cuts).
+
     PYTHONPATH=src python tools/cli_digests.py --max-n 10 > digests.json
     PYTHONPATH=src python tools/cli_digests.py --max-n 14 --check tests/data/cli_digests_n14.json
 
@@ -38,6 +45,28 @@ FORMATS = ("lines", "csv", "json", "edges")
 COMMANDS = ("check", *(f"reconstruct-{fmt}" for fmt in FORMATS), "verify")
 # The largest n whose lists also run through the exhaustive `oracle`.
 ORACLE_MAX_N = 6
+
+
+def _span_one(v: int, n0: int, n1: int) -> list[str]:
+    """The --degrees source of v on n0 vertices and v - 1 on n1."""
+    return ["--degrees", ",".join([str(v)] * n0 + [str(v - 1)] * n1)]
+
+
+# (n, h, degree source) of each larger instance, one per (n, h).
+LARGE = (
+    (15, 3, ["--n", "15", "--v", "91"]),  # all 455 triples: a class at level 3
+    (126, 2, ["--n", "126", "--v", "125"]),  # K_126: a class at level 2
+    (127, 63, ["--n", "127", "--v", "126"]),
+    (127, 2, _span_one(4, 29, 98)),
+    (128, 64, ["--n", "128", "--v", "33"]),  # a coset fill at level 1
+    (128, 2, ["--n", "128", "--v", "127"]),  # K_128: a class at level 2
+    (255, 128, ["--n", "255", "--v", "128"]),
+    (255, 129, _span_one(7, 147, 108)),
+    (256, 128, ["--n", "256", "--v", "109"]),  # a coset fill at level 1
+    (256, 129, ["--n", "256", "--v", "129"]),
+    (300, 129, ["--n", "300", "--v", "43"]),  # a coset fill at level 1
+    (300, 150, _span_one(165, 150, 150)),  # a cut from a lifted coset fill
+)
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
@@ -110,6 +139,19 @@ def digests(max_n: int) -> dict[str, dict[str, str]]:
     return found
 
 
+def large_digests() -> dict[str, dict[str, str]]:
+    """{"n,h": {"large-reconstruct-FMT": hex digest}} over `LARGE`, one
+    instance per (n, h), for the `edges` and `lines` formats."""
+    found: dict[str, dict[str, str]] = {}
+    for n, h, source in LARGE:
+        entry = found.setdefault(f"{n},{h}", {})
+        for fmt in ("edges", "lines"):
+            digest = hashlib.sha256()
+            _feed(digest, source, _run(["reconstruct", "--h", str(h), *source, "--format", fmt]))
+            entry[f"large-reconstruct-{fmt}"] = digest.hexdigest()
+    return found
+
+
 def _differences(found: dict, recorded: dict) -> list[str]:
     return [
         f"{key} {command}"
@@ -125,6 +167,8 @@ def _main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", metavar="FILE", help="compare with this file, print nothing")
     args = parser.parse_args(argv)
     found = digests(args.max_n)
+    for key, entry in large_digests().items():
+        found.setdefault(key, {}).update(entry)
     if args.check is None:
         print(json.dumps(found, indent=1, sort_keys=True))
         return 0
